@@ -14,6 +14,9 @@ Design points (see docs/performance.md):
   machine-speed artefacts; the normalized score cancels the host out,
   which is what makes a committed ``benchmarks/baseline.json``
   comparable across laptops and CI runners.
+* The clock is injectable (seconds, monotonic; default
+  ``time.perf_counter``), so tests of the regression gate run on a
+  deterministic fake clock instead of racing host noise.
 """
 
 from __future__ import annotations
@@ -30,13 +33,16 @@ Workload = Callable[[], int]
 #: Builds a fresh workload (fresh kernel, fresh schedule, ...) per repeat.
 WorkloadFactory = Callable[[], Workload]
 
+#: Monotonic seconds source used to time workloads.
+Clock = Callable[[], float]
+
 
 class BenchSkip(Exception):
     """Raised by a workload factory when the case cannot run here.
 
     Used when a case exercises an API the checked-out code does not
-    have (e.g. the calendar scheduler on a pre-fast-path kernel), so
-    the same suite can be pointed at older revisions for comparison.
+    have (e.g. the batched engine on an older revision), so the same
+    suite can be pointed at older revisions for comparison.
     """
 
 
@@ -116,7 +122,9 @@ def calibration_workload() -> int:
     return CALIBRATION_ITERATIONS + (total & 1)
 
 
-def time_workload(workload: Workload) -> tuple[float, int]:
+def time_workload(
+    workload: Workload, clock: Clock = time.perf_counter
+) -> tuple[float, int]:
     """Run ``workload`` once; return (elapsed seconds, units).
 
     The cyclic collector is drained, then paused, around the timed
@@ -130,9 +138,9 @@ def time_workload(workload: Workload) -> tuple[float, int]:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        started = time.perf_counter()
+        started = clock()
         units = workload()
-        elapsed = time.perf_counter() - started
+        elapsed = clock() - started
     finally:
         if was_enabled:
             gc.enable()
@@ -140,7 +148,10 @@ def time_workload(workload: Workload) -> tuple[float, int]:
 
 
 def measure_case(
-    case: BenchCase, repeats: int, calibration_rate: float
+    case: BenchCase,
+    repeats: int,
+    calibration_rate: float,
+    clock: Clock = time.perf_counter,
 ) -> CaseResult:
     """Run one case ``repeats`` times and summarise."""
     if repeats <= 0:
@@ -150,7 +161,7 @@ def measure_case(
     try:
         for _ in range(repeats):
             workload = case.factory()
-            elapsed, units = time_workload(workload)
+            elapsed, units = time_workload(workload, clock)
             samples.append(elapsed)
     except BenchSkip as skip:
         return CaseResult(
@@ -181,12 +192,14 @@ def measure_case(
     )
 
 
-def measure_calibration(repeats: int) -> tuple[float, float]:
+def measure_calibration(
+    repeats: int, clock: Clock = time.perf_counter
+) -> tuple[float, float]:
     """Time the calibration workload; return (median seconds, rate)."""
     samples: list[float] = []
     units = 0
     for _ in range(max(3, repeats)):
-        elapsed, units = time_workload(calibration_workload)
+        elapsed, units = time_workload(calibration_workload, clock)
         samples.append(elapsed)
     samples.sort()
     median_s = median(samples)
@@ -197,12 +210,13 @@ def run_suite(
     cases: list[BenchCase],
     repeats: int,
     progress: Optional[Callable[[str], None]] = None,
+    clock: Clock = time.perf_counter,
 ) -> tuple[list[CaseResult], float]:
     """Measure every case; returns (results, calibration rate)."""
-    _, calibration_rate = measure_calibration(repeats)
+    _, calibration_rate = measure_calibration(repeats, clock)
     results = []
     for case in cases:
         if progress is not None:
             progress(case.name)
-        results.append(measure_case(case, repeats, calibration_rate))
+        results.append(measure_case(case, repeats, calibration_rate, clock))
     return results, calibration_rate

@@ -8,13 +8,13 @@ that case rather than producing a silent apples-to-oranges delta.
 
 The suite is written to also run against **older revisions** of this
 repository (that is how the fast-path speedup is measured): it probes
-for the modern kernel API (``post`` / ``scheduler=``) and falls back
-to the legacy one, skipping cases the old code cannot express.
+for the modern kernel API (``post``) and falls back to the legacy one,
+skipping cases the old code cannot express.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from .harness import BenchCase, BenchSkip, Workload
 
@@ -28,17 +28,11 @@ KERNEL_CHAINS = 16
 KERNEL_STRIDE_TICKS = 2
 
 
-def _kernel_workload(scheduler: str) -> Workload:
+def kernel_heap_factory() -> Workload:
+    """Self-rescheduling event chains on the binary-heap scheduler."""
     from repro.sim.kernel import Kernel
 
-    try:
-        kernel = Kernel(scheduler=scheduler)
-    except TypeError as exc:
-        # Pre-fast-path kernel: no scheduler choice.  The heap case
-        # still measures (that is the 2x comparison); calendar cannot.
-        if scheduler != "heap":
-            raise BenchSkip(f"kernel has no scheduler option: {exc}") from exc
-        kernel = Kernel()
+    kernel = Kernel()
     sched: Callable[..., object] = getattr(kernel, "post", kernel.schedule)
 
     def run() -> int:
@@ -59,46 +53,50 @@ def _kernel_workload(scheduler: str) -> Workload:
     return run
 
 
-def kernel_heap_factory() -> Workload:
-    """Self-rescheduling event chains on the binary-heap scheduler."""
-    return _kernel_workload("heap")
-
-
-def kernel_calendar_factory() -> Workload:
-    """The same chains on the calendar-queue scheduler."""
-    return _kernel_workload("calendar")
-
-
 # -- hopping inverse lookup --------------------------------------------------
 
-#: Distinct scan instants per scanner sweep.
-HOPPING_INSTANTS = 4_000
-#: Sequence positions probed at each instant.
-HOPPING_POSITIONS = (0, 5, 12, 17, 23, 31)
-#: Scanners issuing the same query pattern (slaves sharing a master
-#: schedule — this is what makes the per-schedule memo earn its keep).
-HOPPING_SCANNERS = 8
-#: Lookup window length in ticks.
-HOPPING_WINDOW_TICKS = 4_096
+#: Population of the figure2 cell whose lookups are replayed.
+HOPPING_SLAVES = 20
+#: Figure2 replications recorded (about 2,000 lookups each).
+HOPPING_REPLICATIONS = 10
 
 
-def hopping_lookup_factory() -> Workload:
-    """``next_tx_of_position`` under a figure2-like scanner population."""
-    from repro.bluetooth.hopping import continuous_inquiry
+def hopping_replay_factory() -> Workload:
+    """``next_tx_of_position`` over the lookups of real figure2 runs.
 
-    schedule = continuous_inquiry()
+    The factory runs the first ``HOPPING_REPLICATIONS`` replications of
+    the default figure2 cell with ``HOPPING_SLAVES`` slaves and records
+    every ``(schedule, position, from_tick, before_tick)`` lookup the
+    scanners make; the workload replays that stream.
+    """
+    try:
+        from repro.bluetooth.hopping import InquiryTransmitSchedule
+        from repro.experiments.figure2 import Figure2Config, run_replication
+    except ImportError as exc:
+        raise BenchSkip(f"figure2 replication unavailable: {exc}") from exc
+
+    stream: list[tuple[InquiryTransmitSchedule, int, int, int]] = []
+    lookup = InquiryTransmitSchedule.next_tx_of_position
+
+    def record(
+        schedule: InquiryTransmitSchedule, position: int, from_tick: int, before_tick: int
+    ) -> Optional[int]:
+        stream.append((schedule, position, from_tick, before_tick))
+        return lookup(schedule, position, from_tick, before_tick)
+
+    setattr(InquiryTransmitSchedule, "next_tx_of_position", record)
+    try:
+        for replication in range(HOPPING_REPLICATIONS):
+            run_replication(Figure2Config(), HOPPING_SLAVES, replication)
+    finally:
+        setattr(InquiryTransmitSchedule, "next_tx_of_position", lookup)
+    if not stream:
+        raise BenchSkip("the batched inquiry engine makes no next_tx lookups")
 
     def run() -> int:
-        lookup = schedule.next_tx_of_position
-        count = 0
-        for _scanner in range(HOPPING_SCANNERS):
-            tick = 13
-            for _ in range(HOPPING_INSTANTS):
-                for position in HOPPING_POSITIONS:
-                    lookup(position, tick, tick + HOPPING_WINDOW_TICKS)
-                    count += 1
-                tick += 37
-        return count
+        for schedule, position, from_tick, before_tick in stream:
+            schedule.next_tx_of_position(position, from_tick, before_tick)
+        return len(stream)
 
     return run
 
@@ -337,26 +335,12 @@ SUITE: tuple[BenchCase, ...] = (
         smoke=True,
     ),
     BenchCase(
-        name="kernel_events_calendar",
-        factory=kernel_calendar_factory,
-        unit="events",
-        params=(
-            ("events", KERNEL_EVENTS),
-            ("chains", KERNEL_CHAINS),
-            ("stride_ticks", KERNEL_STRIDE_TICKS),
-            ("scheduler", "calendar"),
-        ),
-        smoke=True,
-    ),
-    BenchCase(
-        name="hopping_next_tx",
-        factory=hopping_lookup_factory,
+        name="hopping_next_tx_figure2_replay",
+        factory=hopping_replay_factory,
         unit="lookups",
         params=(
-            ("instants", HOPPING_INSTANTS),
-            ("positions", len(HOPPING_POSITIONS)),
-            ("scanners", HOPPING_SCANNERS),
-            ("window_ticks", HOPPING_WINDOW_TICKS),
+            ("slaves", HOPPING_SLAVES),
+            ("replications", HOPPING_REPLICATIONS),
         ),
         smoke=True,
     ),

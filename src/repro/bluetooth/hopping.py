@@ -94,15 +94,6 @@ _TX_OFFSETS: tuple[int, ...] = tuple(
     for p in range(NUM_INQUIRY_FREQUENCIES)
 )
 
-#: Cache-miss sentinel (None is a valid cached lookup result).
-_MISS = object()
-
-#: Upper bound on per-schedule ``next_tx_of_position`` memo entries.
-#: At the bound, the oldest entry is evicted per insert (dicts iterate
-#: in insertion order, so this is deterministic FIFO) — long runs keep
-#: a full, useful cache instead of periodically dropping it wholesale.
-_LOOKUP_CACHE_MAX = 65536
-
 
 def train_of_position(position: int) -> Train:
     """Train membership of a sequence position (0-15 → A, 16-31 → B)."""
@@ -270,14 +261,6 @@ class InquiryTransmitSchedule:
     _position_of_channel: dict[int, int] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    #: Memo for :meth:`next_tx_of_position`.  Many scanners share one
-    #: master schedule and issue identical (position, span) queries in
-    #: the same slot, so repeats are common; the schedule's timing
-    #: fields never change after construction, so entries never go
-    #: stale.  Bounded by ``_LOOKUP_CACHE_MAX`` with FIFO eviction.
-    _lookup_cache: dict[tuple[int, int, int], Optional[int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         if self.passes_per_dwell <= 0:
@@ -327,25 +310,8 @@ class InquiryTransmitSchedule:
         transmits an ID packet on sequence position ``position``.
 
         Returns None if the position is not transmitted in that span
-        (master idle, wrong train, or span exhausted).  Results are
-        memoized per schedule — the schedule's timing state is
-        immutable after construction, so the arithmetic below is a pure
-        function of the arguments.
+        (master idle, wrong train, or span exhausted).
         """
-        key = (position, from_tick, before_tick)
-        cache = self._lookup_cache
-        hit = cache.get(key, _MISS)
-        if hit is not _MISS:
-            return hit  # type: ignore[return-value]
-        if len(cache) >= _LOOKUP_CACHE_MAX:
-            del cache[next(iter(cache))]  # lint: disable=DET003 -- insertion-ordered dict; FIFO eviction is deterministic
-        result = self._compute_next_tx(position, from_tick, before_tick)
-        cache[key] = result
-        return result
-
-    def _compute_next_tx(
-        self, position: int, from_tick: int, before_tick: int
-    ) -> Optional[int]:
         train = train_of_position(position)
         offset = _TX_OFFSETS[position]
         for window in self.windows.iter_windows(from_tick, before_tick):

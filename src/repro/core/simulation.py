@@ -184,7 +184,7 @@ class BIPSSimulation:
         self.config = config if config is not None else BIPSConfig()
         # Engine choice is an execution knob, not part of the config:
         # it never reaches the config digest, so cache keys and trial
-        # seeds are identical on either engine (like BIPS_SIM_SCHEDULER).
+        # seeds are identical on either engine.
         self.engine = resolve_engine(engine)
         # One registry and one event bus span the whole pipeline; callers
         # may supply their own (e.g. to aggregate several simulations).

@@ -1,24 +1,16 @@
 """Typed structured events for the BIPS pipeline.
 
-These replace the stringly-typed ``(tick, category, message)`` tuples
-of :mod:`repro.sim.trace` as the way components *announce* things:
-inquiry windows opening, devices being discovered, deltas reaching the
-server, queries being answered, workstations failing.  Each event is a
-frozen dataclass, so consumers can filter by type and read fields
-instead of parsing strings.
-
-The old :class:`~repro.sim.trace.Tracer` remains a first-class sink:
-:meth:`EventBus.pipe_to_tracer` converts every event back into a
-``(tick, category, message)`` record, so existing trace-based tests and
-debugging workflows keep working unchanged.
+Events are the way components *announce* things: inquiry windows
+opening, devices being discovered, deltas reaching the server, queries
+being answered, workstations failing.  Each event is a frozen
+dataclass, so consumers can filter by type and read fields instead of
+parsing strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Type
-
-from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -39,7 +31,7 @@ class Event:
         return "".join(out)
 
     def describe(self) -> str:
-        """Human-readable field dump (used by the Tracer bridge)."""
+        """Human-readable field dump."""
         parts = [
             f"{field.name}={getattr(self, field.name)!r}"
             for field in fields(self)
@@ -153,14 +145,6 @@ class EventBus:
         for event_type, handler in self._handlers:
             if event_type is None or isinstance(event, event_type):
                 handler(event)
-
-    def pipe_to_tracer(self, tracer: Tracer) -> None:
-        """Bridge every event into a legacy :class:`Tracer` sink."""
-
-        def forward(event: Event) -> None:
-            tracer.record(event.tick, event.category, event.describe())
-
-        self.subscribe(forward)
 
 
 class NullEventBus(EventBus):

@@ -17,7 +17,7 @@ Design rules (the same contract the metrics plane obeys):
   (``tests/obs/test_tracing_determinism.py``).
 * **Free when off.** Components hold ``spans=None`` by default and
   guard every call site, so untraced runs pay nothing; the kernel even
-  keeps its untraced drain loops untouched and switches to a separate
+  keeps its untraced drain loop untouched and switches to a separate
   traced drain only when a tracer is attached.
 * **Mergeable.** ``merge_worker_spans`` concatenates per-trial span
   lists in trial-index order and tags each record with its trial as
@@ -199,7 +199,7 @@ class SpanTracer:
         self._next_span_id = 1
         self._sample_rng = random.Random(derive_seed(seed, "obs", "tracing"))
 
-    #: Mirrors ``Tracer.enabled``: a constructed SpanTracer always traces.
+    #: A constructed SpanTracer always traces.
     enabled = True
 
     # -- span lifecycle ---------------------------------------------------

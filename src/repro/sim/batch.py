@@ -16,8 +16,7 @@ run.  The batched engine replaces both:
   one kernel event advances every row due at that tick
   (:meth:`BatchStore.advance`) instead of N per-device callbacks.
 
-Engine selection mirrors the calendar-scheduler pattern
-(``BIPS_SIM_SCHEDULER``): experiments read the ``BIPS_SIM_ENGINE``
+Experiments select the engine from the ``BIPS_SIM_ENGINE``
 environment variable, which ``--jobs`` worker processes inherit, so a
 parallel run can be flipped wholesale.  The batched engine is a pure
 performance substitution — byte-identical experiment payloads and

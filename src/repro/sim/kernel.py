@@ -2,8 +2,7 @@
 
 A minimal but complete event-queue kernel: callbacks are scheduled at
 integer tick times, fire in (time, insertion-order) order, and may
-schedule further callbacks.  Generator-based processes are layered on
-top in :mod:`repro.sim.process`.
+schedule further callbacks.
 
 Fast-path design (see docs/performance.md):
 
@@ -23,33 +22,21 @@ Fast-path design (see docs/performance.md):
 * ``run_until`` peeks at the queue head and never pops an event beyond
   the target tick, so crossing a boundary does not pay a pop + re-push.
 
-Two schedulers share this machinery and produce byte-identical event
-order (asserted by ``tests/sim/test_scheduler_equivalence.py``):
-
-* ``"heap"`` (default) — a binary heap of entry tuples;
-* ``"calendar"`` — a calendar queue with one bucket per tick, which
-  exploits the fact that Bluetooth traffic is slot-aligned (625 µs
-  slots = 2 ticks): most events land on a small set of recurring
-  ticks, so ordering within a bucket is free (appends happen in
-  ``seq`` order) and the heap only orders *distinct* ticks.
-
-The default can be overridden per process with the
-``BIPS_SIM_SCHEDULER`` environment variable, which worker processes
-inherit — results are identical either way, so the switch is purely a
-performance knob.
+The queue is one binary heap of entry tuples.  ``run_until`` drains it
+with :meth:`Kernel._drain_heap`, or with :meth:`Kernel._drain_spans`
+when a :class:`~repro.obs.tracing.SpanTracer` is attached; both fire
+the same events in the same order.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-import os
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from .clock import SimClock, seconds_from_ticks
 from .errors import DeadlockError, SchedulingError
 from .hotpath import hot_path
-from .trace import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
     from repro.obs.metrics import Counter, Gauge, MetricsRegistry
@@ -59,13 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
 logger = logging.getLogger(__name__)
 
 Callback = Callable[[], Any]
-
-#: Environment variable that selects the default scheduler; worker
-#: processes inherit it, so a parallel run can be flipped wholesale.
-SCHEDULER_ENV_VAR = "BIPS_SIM_SCHEDULER"
-
-#: The recognised scheduler implementations.
-SCHEDULERS = ("heap", "calendar")
 
 #: Events between metric flushes; also flushed at run/step boundaries.
 METRICS_FLUSH_INTERVAL = 4096
@@ -143,49 +123,29 @@ class Kernel:
 
     Pass a :class:`~repro.obs.metrics.MetricsRegistry` to export kernel
     health (events processed, queue depth) alongside the rest of the
-    pipeline's telemetry; ``scheduler`` picks the event-queue
-    implementation (see module docstring) without changing any result.
+    pipeline's telemetry, and a :class:`~repro.obs.tracing.SpanTracer`
+    to wrap every labelled event in a kernel span.
     """
 
     def __init__(
         self,
-        tracer: Optional[Tracer] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        scheduler: Optional[str] = None,
         spans: Optional["SpanTracer"] = None,
         profiler: Optional["Profiler"] = None,
     ) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV_VAR, "heap")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
-            )
-        self.scheduler = scheduler
         self.clock = SimClock()
-        self.tracer: Tracer = tracer if tracer is not None else NullTracer()
         # Span tracing rides the labelled-event path: attaching a
-        # SpanTracer turns label retention on even without a legacy
-        # tracer, so every labelled event can become a kernel span.
+        # SpanTracer turns label retention on, so every labelled event
+        # can become a kernel span.
         self._spans = spans
         self._profiler = profiler
-        self._trace_enabled = self.tracer.enabled or spans is not None
+        self._trace_enabled = spans is not None
         self._seq = 0
         self._events_fired = 0
         self._pending = 0
         self._tombstones = 0
         self._running = False
-        # Heap scheduler state: one heap of entry tuples.
         self._heap: list[Entry] = []
-        # Calendar scheduler state: a bucket of entries per distinct
-        # tick, plus a heap ordering the distinct ticks.  The bucket
-        # being drained is held aside with a resume position so that
-        # step()/run_until() interleave correctly.
-        self._use_calendar = scheduler == "calendar"
-        self._buckets: dict[int, list[Entry]] = {}
-        self._bucket_ticks: list[int] = []
-        self._active_bucket: Optional[list[Entry]] = None
-        self._active_pos = 0
         self._m_events: Optional["Counter"] = (
             metrics.counter("sim.events_fired") if metrics else None
         )
@@ -228,18 +188,6 @@ class Kernel:
         """
         return self._pending
 
-    def _push(self, entry: Entry) -> None:
-        if self._use_calendar:
-            tick = entry[0]
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._buckets[tick] = [entry]
-                heapq.heappush(self._bucket_ticks, tick)
-            else:
-                bucket.append(entry)
-        else:
-            heapq.heappush(self._heap, entry)
-
     def post_at(self, tick: int, callback: Callback, label: str = "") -> None:
         """Schedule ``callback`` at absolute time ``tick``, fire-and-forget.
 
@@ -259,15 +207,7 @@ class Kernel:
             if label and self._trace_enabled
             else callback
         )
-        if self._use_calendar:
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._buckets[tick] = [(tick, seq, payload)]
-                heapq.heappush(self._bucket_ticks, tick)
-            else:
-                bucket.append((tick, seq, payload))
-        else:
-            heapq.heappush(self._heap, (tick, seq, payload))
+        heapq.heappush(self._heap, (tick, seq, payload))
         self._seq = seq + 1
         self._pending += 1
 
@@ -287,15 +227,7 @@ class Kernel:
             if label and self._trace_enabled
             else callback
         )
-        if self._use_calendar:
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._buckets[tick] = [(tick, seq, payload)]
-                heapq.heappush(self._bucket_ticks, tick)
-            else:
-                bucket.append((tick, seq, payload))
-        else:
-            heapq.heappush(self._heap, (tick, seq, payload))
+        heapq.heappush(self._heap, (tick, seq, payload))
         self._seq = seq + 1
         self._pending += 1
 
@@ -313,7 +245,7 @@ class Kernel:
                 f"now is {self.clock.now}"
             )
         handle = EventHandle(tick, self._seq, callback, label, self)
-        self._push((tick, self._seq, handle))
+        heapq.heappush(self._heap, (tick, self._seq, handle))
         self._seq += 1
         self._pending += 1
         return handle
@@ -348,28 +280,12 @@ class Kernel:
     def _compact(self) -> None:
         """Drop tombstoned entries from the queue in place.
 
-        In-place mutation matters: the hot loops hold local aliases of
-        the underlying containers.
+        In-place mutation matters: the hot loops hold a local alias of
+        the heap.
         """
-        if self._use_calendar:
-            # The active bucket is being iterated by position; filtering
-            # it would desynchronise the cursor, and its tombstones are
-            # about to be skipped anyway.
-            active = self._active_bucket
-            for tick in sorted(self._buckets):
-                bucket = self._buckets[tick]
-                if bucket is not active:
-                    bucket[:] = [e for e in bucket if self._entry_live(e)]
-            dead_in_active = (
-                sum(1 for e in active[self._active_pos:] if not self._entry_live(e))
-                if active is not None
-                else 0
-            )
-            self._tombstones = dead_in_active
-        else:
-            self._heap[:] = [e for e in self._heap if self._entry_live(e)]
-            heapq.heapify(self._heap)
-            self._tombstones = 0
+        self._heap[:] = [e for e in self._heap if self._entry_live(e)]
+        heapq.heapify(self._heap)
+        self._tombstones = 0
 
     # -- metrics ---------------------------------------------------------
 
@@ -417,46 +333,27 @@ class Kernel:
         self._pending -= 1
         self._events_fired += 1
         assert callback is not None  # tombstones are filtered by callers
-        if label and self._trace_enabled:
-            self.tracer.record(time, "event", label)
-            spans = self._spans
-            if spans is not None:
-                span = spans.begin(label, "kernel", time)
-                prev = spans.push(span)
-                try:
-                    callback()
-                finally:
-                    spans.pop(prev)
-                    spans.end(span, time)
-                return
+        spans = self._spans
+        if label and spans is not None:
+            span = spans.begin(label, "kernel", time)
+            prev = spans.push(span)
+            try:
+                callback()
+            finally:
+                spans.pop(prev)
+                spans.end(span, time)
+            return
         callback()
 
     def _pop_next_live(self) -> Optional[Entry]:
         """Pop the next live entry, discarding tombstones."""
-        if not self._use_calendar:
-            heap = self._heap
-            while heap:
-                entry = heapq.heappop(heap)
-                if self._entry_live(entry):
-                    return entry
-                self._tombstones -= 1
-            return None
-        while True:
-            bucket = self._active_bucket
-            if bucket is None:
-                if not self._bucket_ticks:
-                    return None
-                tick = heapq.heappop(self._bucket_ticks)
-                bucket = self._buckets.pop(tick)
-                self._active_bucket = bucket
-                self._active_pos = 0
-            while self._active_pos < len(bucket):
-                entry = bucket[self._active_pos]
-                self._active_pos += 1
-                if self._entry_live(entry):
-                    return entry
-                self._tombstones -= 1
-            self._active_bucket = None
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            if self._entry_live(entry):
+                return entry
+            self._tombstones -= 1
+        return None
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False if none remain."""
@@ -486,10 +383,8 @@ class Kernel:
         try:
             if self._spans is not None:
                 # Traced runs take a separate drain so the untraced hot
-                # loops stay byte-identical (and overhead-free).
+                # loop stays byte-identical (and overhead-free).
                 self._drain_spans(tick)
-            elif self._use_calendar:
-                self._drain_calendar(tick)
             else:
                 self._drain_heap(tick)
         finally:
@@ -516,8 +411,6 @@ class Kernel:
         clock = self.clock
         pop = heapq.heappop
         handle_cls = EventHandle
-        trace_on = self._trace_enabled
-        tracer = self.tracer
         flush_mask = _FLUSH_MASK
         fired = 0
         try:
@@ -535,8 +428,6 @@ class Kernel:
                         continue
                     payload.callback = None
                     clock._now = time
-                    if trace_on and payload.label:
-                        tracer.record(time, "event", payload.label)
                 else:
                     callback = payload
                     clock._now = time
@@ -551,142 +442,38 @@ class Kernel:
             self._events_fired += remainder
             self._pending -= remainder
 
-    @hot_path
-    def _drain_calendar(self, until: int) -> None:
-        """Fire all events with ``time <= until`` from the calendar queue.
-
-        Mirrors :meth:`_drain_heap`; the bucket cursor is persisted per
-        event so an exception (or an interleaved ``step()``) never
-        re-fires or skips entries.
-        """
-        buckets = self._buckets
-        ticks = self._bucket_ticks
-        clock = self.clock
-        pop = heapq.heappop
-        handle_cls = EventHandle
-        trace_on = self._trace_enabled
-        tracer = self.tracer
-        flush_mask = _FLUSH_MASK
-        fired = 0
-        pos = self._active_pos
-        try:
-            while True:
-                bucket = self._active_bucket
-                if bucket is None:
-                    if not ticks:
-                        break
-                    tick = ticks[0]
-                    if tick > until:
-                        break
-                    pop(ticks)
-                    bucket = buckets.pop(tick)
-                    self._active_bucket = bucket
-                    pos = 0
-                    clock._now = tick
-                else:
-                    pos = self._active_pos
-                # A bucket never grows while draining: same-tick events
-                # scheduled by a firing callback land in a *fresh* dict
-                # bucket (this one was popped), picked up next iteration
-                # in seq order.
-                size = len(bucket)
-                while pos < size:
-                    entry = bucket[pos]
-                    pos += 1
-                    payload = entry[2]
-                    if payload.__class__ is handle_cls:
-                        callback = payload.callback
-                        if callback is None:  # tombstone
-                            self._tombstones -= 1
-                            continue
-                        payload.callback = None
-                        if trace_on and payload.label:
-                            tracer.record(entry[0], "event", payload.label)
-                    else:
-                        callback = payload
-                    fired += 1
-                    if not fired & flush_mask:
-                        self._events_fired += METRICS_FLUSH_INTERVAL
-                        self._pending -= METRICS_FLUSH_INTERVAL
-                        self._active_pos = pos
-                        self._flush_metrics()
-                    callback()
-                self._active_bucket = None
-                self._active_pos = 0
-                pos = 0
-        finally:
-            # Persist the cursor so an exception mid-bucket resumes
-            # after the event that raised, never re-firing it.
-            if self._active_bucket is not None:
-                self._active_pos = pos
-            remainder = fired & flush_mask
-            self._events_fired += remainder
-            self._pending -= remainder
-
-    def _next_live_entry(self, until: int) -> Optional[Entry]:
-        """Pop the next live entry with ``time <= until`` (peek first).
-
-        Shared by both schedulers on the traced path, so heap and
-        calendar runs fire — and therefore span — the exact same
-        sequence.  Like the hot loops, the head is peeked before
-        popping: an entry beyond ``until`` is never disturbed.
-        """
-        if not self._use_calendar:
-            heap = self._heap
-            while heap:
-                if heap[0][0] > until:
-                    return None
-                entry = heapq.heappop(heap)
-                if self._entry_live(entry):
-                    return entry
-                self._tombstones -= 1
-            return None
-        while True:
-            bucket = self._active_bucket
-            if bucket is None:
-                ticks = self._bucket_ticks
-                if not ticks or ticks[0] > until:
-                    return None
-                tick = heapq.heappop(ticks)
-                bucket = self._buckets.pop(tick)
-                self._active_bucket = bucket
-                self._active_pos = 0
-            while self._active_pos < len(bucket):
-                entry = bucket[self._active_pos]
-                self._active_pos += 1
-                if self._entry_live(entry):
-                    return entry
-                self._tombstones -= 1
-            self._active_bucket = None
-
     def _drain_spans(self, until: int) -> None:
         """Fire all events with ``time <= until``, wrapping each labelled
         event in a kernel span.
 
-        The traced sibling of :meth:`_drain_heap` /
-        :meth:`_drain_calendar`: same batched-metrics cadence, same
-        finally-block remainder flush, but every labelled event becomes
+        The traced sibling of :meth:`_drain_heap`: same batched-metrics
+        cadence, same finally-block remainder flush, but every labelled
+        event becomes
         an ambient ``kernel``-category span for the duration of its
         callback, so spans opened inside the callback (bluetooth, LAN,
         core) parent to the dispatch that caused them.
         """
         spans = self._spans
         assert spans is not None
+        heap = self._heap
         clock = self.clock
+        pop = heapq.heappop
         handle_cls = EventHandle
-        legacy_on = self.tracer.enabled
-        tracer = self.tracer
         flush_mask = _FLUSH_MASK
         fired = 0
         try:
-            while True:
-                entry = self._next_live_entry(until)
-                if entry is None:
-                    break
+            while heap:
+                entry = heap[0]
                 time = entry[0]
+                if time > until:
+                    break
+                pop(heap)
                 payload = entry[2]
                 if payload.__class__ is handle_cls:
                     callback = payload.callback
+                    if callback is None:  # tombstone
+                        self._tombstones -= 1
+                        continue
                     payload.callback = None
                     label = payload.label
                 else:
@@ -698,10 +485,7 @@ class Kernel:
                     self._events_fired += METRICS_FLUSH_INTERVAL
                     self._pending -= METRICS_FLUSH_INTERVAL
                     self._flush_metrics()
-                assert callback is not None  # _next_live_entry skips tombstones
                 if label:
-                    if legacy_on:
-                        tracer.record(time, "event", label)
                     span = spans.begin(label, "kernel", time)
                     prev = spans.push(span)
                     try:
@@ -752,5 +536,5 @@ class Kernel:
     def __repr__(self) -> str:
         return (
             f"Kernel(now={self.clock.now}, pending={self.pending_events}, "
-            f"fired={self._events_fired}, scheduler={self.scheduler!r})"
+            f"fired={self._events_fired})"
         )

@@ -2,18 +2,21 @@
 
 The real suite takes seconds per case, so these tests monkeypatch the
 suite resolver to a microscopic stand-in — the contract under test is
-the CLI's control flow, not the workloads.
+the CLI's control flow, not the workloads.  The harness runs on a fake
+clock that advances a fixed step per read, so every repeat of every
+case measures the same time and the gate decisions are deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 
 import pytest
 
 import repro.bench.cli as bench_cli
-from repro.bench.harness import BenchCase, BenchSkip
+from repro.bench.harness import BenchCase, BenchSkip, run_suite
 
 
 def _tiny_suite(name: str) -> list[BenchCase]:
@@ -32,6 +35,18 @@ def _always_skip():
     raise BenchSkip("feature not built here")
 
 
+class _StepClock:
+    """Advances a fixed step on every read."""
+
+    def __init__(self, step: float = 0.001) -> None:
+        self.now = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
 def _args(tmp_path, **overrides) -> argparse.Namespace:
     defaults = dict(
         suite="full",
@@ -48,6 +63,9 @@ def _args(tmp_path, **overrides) -> argparse.Namespace:
 @pytest.fixture(autouse=True)
 def tiny_suite(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_cli, "select_suite", _tiny_suite)
+    monkeypatch.setattr(
+        bench_cli, "run_suite", functools.partial(run_suite, clock=_StepClock())
+    )
     # Keep the baseline text rendering inside the sandbox too.
     monkeypatch.setattr(
         bench_cli, "DEFAULT_BASELINE_TEXT", str(tmp_path / "bench_baseline.txt")

@@ -51,6 +51,11 @@ class TestTimeWorkload:
         assert units == 42
         assert elapsed >= 0.0
 
+    def test_injected_clock_times_the_workload(self):
+        reads = iter([10.0, 10.25])
+        elapsed, units = time_workload(lambda: 7, clock=lambda: next(reads))
+        assert (elapsed, units) == (0.25, 7)
+
     def test_gc_restored_after_timing(self):
         assert gc.isenabled()
         time_workload(lambda: 1)

@@ -1,4 +1,4 @@
-"""Unit tests for the typed event bus and its Tracer bridge."""
+"""Unit tests for the typed event bus."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.obs.events import (
     NullEventBus,
     QueryServed,
 )
-from repro.sim.trace import Tracer
 
 
 class TestEvent:
@@ -59,26 +58,6 @@ class TestEventBus:
                              presences=1, absences=0))
         assert bus.emitted == 3
         assert bus.counts == {"DeviceDiscovered": 2, "DeltaPushed": 1}
-
-    def test_pipe_to_tracer_bridges_legacy_records(self):
-        bus = EventBus()
-        tracer = Tracer()
-        bus.pipe_to_tracer(tracer)
-        bus.emit(DeviceDiscovered(tick=42, master="ws-1", address="00:11"))
-        assert len(tracer.records) == 1
-        record = tracer.records[0]
-        assert record.tick == 42
-        assert record.category == "device_discovered"
-        assert "master='ws-1'" in record.message
-
-    def test_tracer_category_filter_applies_to_piped_events(self):
-        bus = EventBus()
-        tracer = Tracer(categories={"delta_pushed"})
-        bus.pipe_to_tracer(tracer)
-        bus.emit(DeviceDiscovered(tick=1, master="m", address="a"))
-        bus.emit(DeltaPushed(tick=2, workstation_id="w", room_id="r",
-                             presences=1, absences=0))
-        assert [rec.category for rec in tracer.records] == ["delta_pushed"]
 
     def test_null_bus_drops_but_stays_subscribable(self):
         bus = NullEventBus()

@@ -1,19 +1,23 @@
 """Sim-layer fixtures.
 
-The ``kernel`` fixture here overrides the repo-root one so every
-kernel/process test in this directory runs against **both** scheduler
-implementations — the heap and calendar queues must be behaviourally
-indistinguishable, not just fast.
+The ``kernel`` fixture here overrides the repo-root one so every kernel
+test in this directory runs through **both** drain loops: ``heap`` is a
+plain kernel (``Kernel._drain_heap``) and ``spans`` has a
+:class:`SpanTracer` attached (``Kernel._drain_spans``). Tracing must
+not change which events fire, when, or what the kernel's counters say.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.kernel import SCHEDULERS, Kernel
+from repro.obs.tracing import SpanTracer
+from repro.sim.kernel import Kernel
 
 
-@pytest.fixture(params=SCHEDULERS)
+@pytest.fixture(params=["heap", "spans"])
 def kernel(request) -> Kernel:
-    """A fresh kernel, parametrized over every scheduler."""
-    return Kernel(scheduler=request.param)
+    """A fresh kernel, parametrized over the untraced and traced drains."""
+    if request.param == "spans":
+        return Kernel(spans=SpanTracer())
+    return Kernel()

@@ -1,16 +1,13 @@
 """Object vs batched engine: byte-identical observable behaviour.
 
-ISSUE 9's acceptance bar, mirroring the scheduler-equivalence suite:
-flipping ``BIPS_SIM_ENGINE`` changes *nothing* an experiment can
+Flipping ``BIPS_SIM_ENGINE`` changes *nothing* an experiment can
 observe — result payloads, CSV output, domain metrics, tracking
-reports — whether run serial or parallel, on either kernel scheduler,
-with faults injected or not.  Only engine-internal ``sim.*`` telemetry
-(event counts, batch counters) may differ, by design.
+reports — whether run serial or parallel, with faults injected or
+not.  Only engine-internal ``sim.*`` telemetry (event counts, batch
+counters) may differ, by design.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation
@@ -19,7 +16,6 @@ from repro.experiments.table1 import Table1Config, run_table1
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.executor import ExperimentRunner
 from repro.sim.batch import ENGINE_ENV_VAR
-from repro.sim.kernel import SCHEDULER_ENV_VAR
 
 TABLE1 = Table1Config(trials=8, seed=1313)
 FIGURE2 = Figure2Config(slave_counts=(3,), replications=2, seed=1414)
@@ -74,18 +70,6 @@ class TestExperimentEquivalence:
         serial_csv = run_table1(TABLE1, runner=ExperimentRunner()).to_csv()
         parallel_csv = run_table1(TABLE1, runner=ExperimentRunner(jobs=2)).to_csv()
         assert serial_csv == parallel_csv
-
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_batched_same_on_both_schedulers(self, monkeypatch, scheduler):
-        # The engine knob composes with the scheduler knob: the batched
-        # result equals the object result under either queue.
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, scheduler)
-        monkeypatch.setenv(ENGINE_ENV_VAR, "object")
-        object_csv = run_figure2(FIGURE2).to_csv()
-        monkeypatch.setenv(ENGINE_ENV_VAR, "batched")
-        batched_csv = run_figure2(FIGURE2).to_csv()
-        assert object_csv == batched_csv
-
 
 class TestFacadeEquivalence:
     """The end-to-end BIPS simulation on either engine."""

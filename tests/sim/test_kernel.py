@@ -1,9 +1,4 @@
-"""Tests for the discrete-event kernel.
-
-The ``kernel`` fixture (see ``conftest.py`` in this directory) is
-parametrized over both schedulers, so everything here doubles as a
-heap/calendar behavioural-equivalence check.
-"""
+"""Tests for the discrete-event kernel."""
 
 from __future__ import annotations
 
@@ -12,9 +7,9 @@ import heapq
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import SpanTracer
 from repro.sim.errors import DeadlockError, SchedulingError
-from repro.sim.kernel import METRICS_FLUSH_INTERVAL, SCHEDULER_ENV_VAR, Kernel
-from repro.sim.trace import Tracer
+from repro.sim.kernel import METRICS_FLUSH_INTERVAL, Kernel
 
 
 class TestScheduling:
@@ -216,11 +211,11 @@ class TestPostFastPath:
         assert kernel.events_fired == 2
 
     def test_labelled_post_is_traced(self):
-        tracer = Tracer()
-        kernel = Kernel(tracer=tracer)
+        tracer = SpanTracer()
+        kernel = Kernel(spans=tracer)
         kernel.post_at(10, lambda: None, label="posted")
         kernel.run_until(10)
-        assert any(rec.message == "posted" for rec in tracer.records)
+        assert [span.name for span in tracer.spans] == ["posted"]
 
     def test_nested_post_from_callback(self, kernel):
         log = []
@@ -387,34 +382,18 @@ class TestMetricsBatching:
         assert registry.counter("sim.events_fired").value == 1
 
 
-class TestSchedulerSelection:
-    def test_unknown_scheduler_raises(self):
-        with pytest.raises(ValueError):
-            Kernel(scheduler="fifo")
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-        assert Kernel().scheduler == "calendar"
-
-    def test_explicit_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-        assert Kernel(scheduler="heap").scheduler == "heap"
-
-    def test_bad_env_var_raises(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "fifo")
-        with pytest.raises(ValueError):
-            Kernel()
-
-
 class TestTracing:
     def test_labelled_events_are_traced(self):
-        tracer = Tracer()
-        kernel = Kernel(tracer=tracer)
+        tracer = SpanTracer()
+        kernel = Kernel(spans=tracer)
         kernel.schedule_at(10, lambda: None, label="hello")
         kernel.run_until(10)
-        assert any(rec.message == "hello" for rec in tracer.records)
+        assert [span.name for span in tracer.spans] == ["hello"]
 
-    def test_default_tracer_records_nothing(self, kernel):
-        kernel.schedule_at(10, lambda: None, label="hello")
-        kernel.run_until(10)
-        assert len(kernel.tracer) == 0
+    def test_labelled_events_fire_in_order_without_a_tracer(self):
+        kernel = Kernel()
+        log = []
+        kernel.schedule_at(20, lambda: log.append(("b", kernel.now)), label="b")
+        kernel.post_at(10, lambda: log.append(("a", kernel.now)), label="a")
+        kernel.run_until(20)
+        assert log == [("a", 10), ("b", 20)]
