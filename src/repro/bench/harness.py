@@ -41,7 +41,7 @@ class BenchSkip(Exception):
     """Raised by a workload factory when the case cannot run here.
 
     Used when a case exercises an API the checked-out code does not
-    have (e.g. the batched engine on an older revision), so the same
+    have (e.g. the inquiry swarm on an older revision), so the same
     suite can be pointed at older revisions for comparison.
     """
 

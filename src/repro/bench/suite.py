@@ -55,25 +55,23 @@ def kernel_heap_factory() -> Workload:
 
 # -- hopping inverse lookup --------------------------------------------------
 
-#: Population of the figure2 cell whose lookups are replayed.
-HOPPING_SLAVES = 20
-#: Figure2 replications recorded (about 2,000 lookups each).
-HOPPING_REPLICATIONS = 10
+#: Table1 trials recorded (about 4.5 lookups each, about 20,000 in all).
+HOPPING_TRIALS = 4_500
 
 
 def hopping_replay_factory() -> Workload:
-    """``next_tx_of_position`` over the lookups of real figure2 runs.
+    """``next_tx_of_position`` over the lookups of real table1 trials.
 
-    The factory runs the first ``HOPPING_REPLICATIONS`` replications of
-    the default figure2 cell with ``HOPPING_SLAVES`` slaves and records
-    every ``(schedule, position, from_tick, before_tick)`` lookup the
-    scanners make; the workload replays that stream.
+    The factory runs the first ``HOPPING_TRIALS`` trials of a table1
+    run of that size and records every ``(schedule, position,
+    from_tick, before_tick)`` lookup the scanners make; the workload
+    replays that stream.
     """
     try:
         from repro.bluetooth.hopping import InquiryTransmitSchedule
-        from repro.experiments.figure2 import Figure2Config, run_replication
+        from repro.experiments.table1 import Table1Config, run_trial
     except ImportError as exc:
-        raise BenchSkip(f"figure2 replication unavailable: {exc}") from exc
+        raise BenchSkip(f"table1 trial unavailable: {exc}") from exc
 
     stream: list[tuple[InquiryTransmitSchedule, int, int, int]] = []
     lookup = InquiryTransmitSchedule.next_tx_of_position
@@ -84,14 +82,15 @@ def hopping_replay_factory() -> Workload:
         stream.append((schedule, position, from_tick, before_tick))
         return lookup(schedule, position, from_tick, before_tick)
 
+    config = Table1Config(trials=HOPPING_TRIALS)
     setattr(InquiryTransmitSchedule, "next_tx_of_position", record)
     try:
-        for replication in range(HOPPING_REPLICATIONS):
-            run_replication(Figure2Config(), HOPPING_SLAVES, replication)
+        for trial in range(HOPPING_TRIALS):
+            run_trial(config, trial)
     finally:
         setattr(InquiryTransmitSchedule, "next_tx_of_position", lookup)
     if not stream:
-        raise BenchSkip("the batched inquiry engine makes no next_tx lookups")
+        raise BenchSkip("table1 made no next_tx lookups")
 
     def run() -> int:
         for schedule, position, from_tick, before_tick in stream:
@@ -175,7 +174,7 @@ def _swarm_workload(
     period_ticks: int,
     horizon_ticks: int,
 ) -> Workload:
-    """Identical piconet population on either inquiry engine.
+    """Identical piconet population on per-slave scanners or a swarm.
 
     Continuous train-locked scanners under periodically inquiring
     masters.  Construction happens here (untimed); the workload runs
@@ -196,7 +195,7 @@ def _swarm_workload(
         try:
             from repro.bluetooth.swarm import InquiryScanSwarm
         except ImportError as exc:
-            raise BenchSkip(f"no batched engine in this revision: {exc}") from exc
+            raise BenchSkip(f"no inquiry swarm in this revision: {exc}") from exc
     kernel = Kernel()
     root = RandomStream(SWARM_SEED, "bench-swarm")
     scan = ScanConfig.continuous(phase_mode=PhaseMode.TRAIN_LOCKED)
@@ -335,13 +334,10 @@ SUITE: tuple[BenchCase, ...] = (
         smoke=True,
     ),
     BenchCase(
-        name="hopping_next_tx_figure2_replay",
+        name="hopping_next_tx_table1_replay",
         factory=hopping_replay_factory,
         unit="lookups",
-        params=(
-            ("slaves", HOPPING_SLAVES),
-            ("replications", HOPPING_REPLICATIONS),
-        ),
+        params=(("trials", HOPPING_TRIALS),),
         smoke=True,
     ),
     BenchCase(

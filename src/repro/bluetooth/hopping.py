@@ -224,7 +224,7 @@ class PeriodicWindows:
     def next_active(self, tick: int) -> Optional[int]:
         """First tick >= ``tick`` inside some window (None = never).
 
-        Pure arithmetic, like :meth:`is_active`.  The batched engine
+        Pure arithmetic, like :meth:`is_active`.  The inquiry swarm
         uses this to fast-forward rendezvous queries over master-idle
         air time in one jump instead of walking phase segments through
         it: no transmission can land outside the windows.
@@ -342,8 +342,8 @@ class InquiryTransmitSchedule:
         increasing order.
 
         One walk over the window/pass structure enumerates the whole
-        span, so callers that need many rendezvous points (the batched
-        swarm engine precomputes per-position timetables and answers
+        span, so callers that need many rendezvous points (the inquiry
+        swarm precomputes per-position timetables and answers
         individual queries by bisection) pay the walk once instead of
         once per query.  ``tx_ticks_of_position(p, a, b)[0]`` always
         equals ``next_tx_of_position(p, a, b)`` when the result is

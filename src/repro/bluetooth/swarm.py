@@ -1,28 +1,34 @@
 """Batched inquiry-scan: one kernel event advances a whole piconet.
 
-:class:`InquiryScanSwarm` is the batched-engine counterpart of
-:class:`~repro.bluetooth.scan.InquiryScanner`.  Where the object engine
-gives every slave its own Python object and one kernel event (plus an
+:class:`InquiryScanSwarm` is the dense-piconet counterpart of
+:class:`~repro.bluetooth.scan.InquiryScanner`.  Where the per-slave
+scanner is one Python object with one kernel event (plus an
 :class:`~repro.sim.kernel.EventHandle`) per state transition, the swarm
 keeps all slaves of one piconet as rows of a
-:class:`~repro.sim.batch.BatchStore` — clock offsets, hop phases, scan
-anchors, lifecycle state and counters are parallel ``array('q')``
-columns — and files each row under the tick at which it next acts.  One
-handle-free kernel event per distinct due tick then advances every row
-due at that tick (:meth:`InquiryScanSwarm._on_advance`), and all FHS
-responses produced within one advance are announced to the radio
-channel in a single batched call.
+:class:`BatchStore` (:mod:`repro.sim.batch`) — clock offsets, hop phases,
+lifecycle state and counters are parallel ``array('q')`` columns — and
+files each row under the tick at which it next acts.  One handle-free
+kernel event per distinct due tick then advances every row due at that
+tick (:meth:`InquiryScanSwarm._on_advance`), and all FHS responses
+produced within one advance are announced to the radio channel in a
+single batched call.
 
-Equivalence contract (asserted by
-``tests/sim/test_engine_equivalence.py`` and
-``tests/bluetooth/test_swarm.py``): the swarm replays the
+The swarm serves exactly one piconet shape: the Figure-2 one, where
+every slave listens continuously with a train-locked phase and the
+whole population is present from tick 0.  ``figure2`` is the only
+experiment that builds it; every other workload (one slave per trial,
+or walkers joining and leaving rooms) runs per-slave scanners, which
+are faster there (see docs/performance.md).
+
+Equivalence contract (asserted by ``tests/bluetooth/test_swarm.py``
+and pinned by the golden payload digests): the swarm replays the
 ``InquiryScanner`` state machine transition for transition —
 
 * every slave draws only from its own :class:`RandomStream`, at the
   same causal points, so draw sequences are identical;
-* rows are filed in the same order the object engine would have
-  scheduled per-slave events, and buckets are processed FIFO, so
-  same-tick slaves act in the same relative order;
+* rows are filed in the order in which per-slave scanners would
+  schedule their events, and buckets are processed FIFO, so same-tick
+  slaves act in the same relative order;
 * within one master schedule, ID transmissions occupy ticks congruent
   to {0, 1} (mod 4) past the window start while FHS deliveries occupy
   {2, 3}, so hear/respond steps never share a tick with channel
@@ -31,7 +37,7 @@ Equivalence contract (asserted by
 
 What is *not* byte-matched: kernel-internal telemetry (``sim.*``
 event counts, queue depths, span/trace labels) — the swarm fires one
-event where the object engine fires N, by design.
+event where per-slave scanners fire N, by design.
 """
 
 from __future__ import annotations
@@ -39,16 +45,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.radio.channel import ResponseChannel
 from repro.sim.batch import BatchStore
 from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 from .address import BDAddr
 from .btclock import CLKN_WRAP, BluetoothClock
@@ -62,7 +65,6 @@ from .constants import (
 from .hopping import InquiryTransmitSchedule
 from .packets import FHSPacket
 from .scan import (
-    BackoffReentry,
     PhaseMode,
     ResponseMode,
     ScanConfig,
@@ -91,29 +93,16 @@ _STATE_NAMES: tuple[ScannerState, ...] = (
 )
 
 #: Pending-action codes (the ``action`` column): what a row does when
-#: its due tick arrives.  Each maps to one object-engine callback.
+#: its due tick arrives.  Each maps to one ``InquiryScanner`` callback.
 _ACT_SEEK = 1  # InquiryScanner._seek
 _ACT_HEAR = 2  # InquiryScanner._on_first_hear
 _ACT_BACKOFF_END = 3  # InquiryScanner._after_backoff
 _ACT_RESPOND = 4  # InquiryScanner._respond
 
-#: Phase-mode codes (precomputed from the shared ScanConfig).
-_PHASE_FIXED = 0
-_PHASE_SEQUENCE = 1
-_PHASE_TRAIN_LOCKED = 2
-
 #: Response-mode codes.
 _MODE_CONTINUOUS = 0
 _MODE_BACKOFF_EACH = 1
 _MODE_SINGLE = 2
-
-_PHASE_CODES: Mapping[PhaseMode, int] = MappingProxyType(
-    {
-        PhaseMode.FIXED: _PHASE_FIXED,
-        PhaseMode.SEQUENCE: _PHASE_SEQUENCE,
-        PhaseMode.TRAIN_LOCKED: _PHASE_TRAIN_LOCKED,
-    }
-)
 
 _MODE_CODES: Mapping[ResponseMode, int] = MappingProxyType(
     {
@@ -123,19 +112,13 @@ _MODE_CODES: Mapping[ResponseMode, int] = MappingProxyType(
     }
 )
 
-#: Longest rendezvous segment the timetable cache serves.  One phase
-#: segment is at most ``SCAN_FREQUENCY_CHANGE_TICKS`` long, so every
-#: phase-bounded segment qualifies; only FIXED-phase segments (bounded
-#: by the scan window alone) can exceed it and fall back to a direct
-#: schedule walk.
-_TX_SEGMENT_MAX = SCAN_FREQUENCY_CHANGE_TICKS
-
 #: Span of each cached per-position transmit timetable.  Tables are
 #: aligned to absolute ``[block * span, (block + 1) * span)`` blocks so
 #: slaves querying the same position at scattered ticks (seek re-arms
 #: are uniformly spread across a piconet) share tables regardless of
 #: query order; a rolling start would be invalidated by every query
-#: behind it.  Twice the segment bound, so one segment touches at most
+#: behind it.  Twice the longest phase segment
+#: (``SCAN_FREQUENCY_CHANGE_TICKS``), so one segment touches at most
 #: two blocks.  (Bounding the span also keeps the underlying schedule
 #: walk finite for never-transmitted positions.)
 _TX_TABLE_SPAN = 2 * SCAN_FREQUENCY_CHANGE_TICKS
@@ -145,8 +128,10 @@ class InquiryScanSwarm:
     """All inquiry-scanning slaves of one piconet, advanced in batch.
 
     One swarm serves one master schedule/channel pair and one shared
-    :class:`ScanConfig`; per-slave variation (clock offset, base phase,
-    window anchor, horizon, RNG stream) lives in the store columns.
+    :class:`ScanConfig`, which must be continuous with a TRAIN_LOCKED
+    phase (the Figure-2 slave); its response mode, backoff bound and
+    inqrespTO apply.  Per-slave variation (clock offset, base phase,
+    horizon, RNG stream) lives in the store columns.
     """
 
     def __init__(
@@ -155,18 +140,24 @@ class InquiryScanSwarm:
         schedule: InquiryTransmitSchedule,
         channel: ResponseChannel,
         config: Optional[ScanConfig] = None,
-        metrics: Optional["MetricsRegistry"] = None,
         name: str = "swarm",
     ) -> None:
+        if config is None:
+            config = ScanConfig.continuous(phase_mode=PhaseMode.TRAIN_LOCKED)
+        if not config.is_continuous or config.phase_mode is not PhaseMode.TRAIN_LOCKED:
+            raise ValueError(
+                "InquiryScanSwarm needs a continuous TRAIN_LOCKED ScanConfig, got "
+                f"window {config.window_ticks}/{config.interval_ticks} ticks, "
+                f"phase {config.phase_mode.value}"
+            )
         self.kernel = kernel
         self.schedule = schedule
         self.channel = channel
-        self.config = config if config is not None else ScanConfig()
+        self.config = config
         self.name = name
         self.store = BatchStore(
             "offset",  # device clock offset (CLKN = tick + offset mod 2^28)
             "base",  # base sequence position (hop-frequency state)
-            "anchor",  # scan-window anchor, already mod interval
             "horizon",  # scanning stops at this tick
             "state",  # lifecycle (power mode) code
             "action",  # pending-action code for the next due tick
@@ -179,7 +170,6 @@ class InquiryScanSwarm:
         # Column aliases for the hot loop (array objects are stable).
         self._offset = self.store.column("offset")
         self._base = self.store.column("base")
-        self._anchor = self.store.column("anchor")
         self._horizon = self.store.column("horizon")
         self._state = self.store.column("state")
         self._action = self.store.column("action")
@@ -195,15 +185,9 @@ class InquiryScanSwarm:
         self._response_ticks: list[list[int]] = []
         # Shared-config scalars, predigested so the hot loop does no
         # enum dispatch or dataclass attribute chasing.
-        cfg = self.config
-        self._window_ticks = cfg.window_ticks
-        self._interval_ticks = cfg.interval_ticks
-        self._continuous = cfg.is_continuous
-        self._phase_code = _PHASE_CODES[cfg.phase_mode]
-        self._reentry_immediate = cfg.backoff_reentry is BackoffReentry.IMMEDIATE
-        self._backoff_max = cfg.backoff_max_slots
-        self._response_timeout = cfg.response_timeout_ticks
-        self._mode_code = _MODE_CODES[cfg.response_mode]
+        self._backoff_max = config.backoff_max_slots
+        self._response_timeout = config.response_timeout_ticks
+        self._mode_code = _MODE_CODES[config.response_mode]
         self._sequence = schedule.sequence
         self._label = f"swarm:{name}"
         # Reusable same-advance FHS batch (flushed every advance).
@@ -212,7 +196,7 @@ class InquiryScanSwarm:
         # position p within one block-aligned span, answered by
         # bisection.  One schedule walk per refilled block replaces one
         # walk per rendezvous query, and every slave of the piconet
-        # shares the tables — the cross-slave sharing a per-object
+        # shares the tables — the cross-slave sharing a per-slave
         # scanner cannot express (its cache keys embed each slave's own
         # segment end).  Two slots per position (flat, index 2p/2p+1)
         # keep adjacent blocks live so stragglers behind a block
@@ -220,18 +204,6 @@ class InquiryScanSwarm:
         # Entries never go stale: the schedule is immutable.
         self._tt_tables: list[tuple[int, ...]] = [()] * (2 * NUM_INQUIRY_FREQUENCIES)
         self._tt_blocks = [-1] * (2 * NUM_INQUIRY_FREQUENCIES)
-        if metrics is not None:
-            self._m_ids_heard = metrics.counter("bt.scan.ids_heard")
-            self._m_backoffs = metrics.counter("bt.scan.backoffs")
-            self._m_responses = metrics.counter("bt.scan.responses_sent")
-            self._m_advances = metrics.counter("sim.batch.advances")
-            self._m_steps = metrics.counter("sim.batch.slave_steps")
-        else:
-            self._m_ids_heard = None
-            self._m_backoffs = None
-            self._m_responses = None
-            self._m_advances = None
-            self._m_steps = None
 
     # -- population -------------------------------------------------------
 
@@ -246,7 +218,6 @@ class InquiryScanSwarm:
         rng: RandomStream,
         clock: Optional[BluetoothClock] = None,
         base_phase: int = 0,
-        window_anchor: Optional[int] = None,
         horizon_tick: int = 1 << 62,
         name: str = "",
     ) -> "SwarmSlave":
@@ -255,11 +226,9 @@ class InquiryScanSwarm:
             clock = BluetoothClock()
         if not 0 <= base_phase < NUM_INQUIRY_FREQUENCIES:
             raise ValueError(f"base_phase out of range: {base_phase}")
-        anchor = window_anchor if window_anchor is not None else clock.offset
         row = self.store.add_row(
             offset=clock.offset,
             base=base_phase,
-            anchor=anchor % self._interval_ticks,
             horizon=horizon_tick,
             state=_IDLE,
             action=0,
@@ -274,34 +243,32 @@ class InquiryScanSwarm:
 
     # -- per-row control (mirrors InquiryScanner.start/stop) ---------------
 
-    def start_row(self, row: int, at_tick: Optional[int] = None) -> None:
-        """Begin scanning for one row (immediately, or at ``at_tick``)."""
+    def start_row(self, row: int) -> None:
+        """Begin scanning for one row now."""
         if self._state[row] != _IDLE:
             raise RuntimeError(
                 f"slave {self._names[row]} already started "
                 f"({_STATE_NAMES[self._state[row]].value})"
             )
-        now = self.kernel.now
-        begin = max(now, at_tick if at_tick is not None else now)
         self._state[row] = _SEEKING
         self._action[row] = _ACT_SEEK
-        self._queue(begin, row)
+        self._queue(self.kernel.now, row)
 
     def stop_row(self, row: int) -> None:
         """Abort scanning for one row (left coverage / powered down).
 
         The row's pending due entry is left in place and skipped when it
-        surfaces — the batched analogue of the object engine's event
+        surfaces — the batched analogue of the per-slave scanner's event
         tombstone.
         """
         self._state[row] = _STOPPED
 
     def state_of(self, row: int) -> ScannerState:
-        """The row's lifecycle state as the object-engine enum."""
+        """The row's lifecycle state as the ``InquiryScanner`` enum."""
         return _STATE_NAMES[self._state[row]]
 
     def stats_of(self, row: int) -> ScannerStats:
-        """The row's counters as an object-engine ``ScannerStats``."""
+        """The row's counters as an ``InquiryScanner`` ``ScannerStats``."""
         first_heard = self._first_heard[row]
         first_response = self._first_response[row]
         return ScannerStats(
@@ -313,23 +280,18 @@ class InquiryScanSwarm:
             response_ticks=list(self._response_ticks[row]),
         )
 
-    # -- frequency / window geometry (mirrors InquiryScanner) --------------
+    # -- frequency geometry (mirrors InquiryScanner) -----------------------
 
     def listen_position(self, row: int, tick: int) -> int:
         """Sequence position the row listens on at ``tick``.
 
-        Integer-only replay of ``InquiryScanner.listen_position`` (and
-        so of ``BluetoothClock.scan_phase``); called from the hot loop.
+        Integer-only replay of ``InquiryScanner.listen_position`` for
+        the TRAIN_LOCKED phase (and so of ``BluetoothClock.scan_phase``):
+        the 16 positions of the starting train, one per 1.28 s.
         """
         clkn = (tick + self._offset[row]) % CLKN_WRAP
         step = clkn // SCAN_FREQUENCY_CHANGE_TICKS
-        code = self._phase_code
         base = self._base[row]
-        if code == _PHASE_FIXED:
-            return base
-        if code == _PHASE_SEQUENCE:
-            return (base + step) % NUM_INQUIRY_FREQUENCIES
-        # TRAIN_LOCKED: walk the 16 positions of the starting train.
         train_start = base - base % TRAIN_SIZE
         return train_start + (base % TRAIN_SIZE + step) % TRAIN_SIZE
 
@@ -357,32 +319,22 @@ class InquiryScanSwarm:
         self._tt_tables[index] = table
         return table
 
-    def next_hear(
-        self, row: int, from_tick: int, ignore_windows: bool = False
-    ) -> Optional[int]:
+    def next_hear(self, row: int, from_tick: int) -> Optional[int]:
         """First tick >= ``from_tick`` at which the row hears an ID.
 
-        Integer-only replay of ``scan.next_listen_rendezvous`` clipped
-        to the row's horizon: intersect the scan windows (unless
-        ignored), the 1.28 s phase segments, and the master schedule.
-        Master-idle stretches are skipped in one ``next_active`` jump
-        instead of being walked segment by segment — no transmission
-        can land outside the schedule's windows.
+        Integer-only replay of ``scan.next_listen_rendezvous`` for a
+        continuous listener, clipped to the row's horizon: intersect the
+        1.28 s phase segments with the master schedule.  Master-idle
+        stretches are skipped in one ``next_active`` jump instead of
+        being walked segment by segment — no transmission can land
+        outside the schedule's windows.
         """
         before = self._horizon[row]
-        always = ignore_windows or self._continuous
-        window_ticks = self._window_ticks
-        interval = self._interval_ticks
-        anchor = self._anchor[row]
-        code = self._phase_code
-        fixed = code == _PHASE_FIXED
-        sequence = code == _PHASE_SEQUENCE
         offset = self._offset[row]
         base = self._base[row]
         train_start = base - base % TRAIN_SIZE
         base_in_train = base % TRAIN_SIZE
         next_active = self.schedule.windows.next_active
-        lookup = self.schedule.next_tx_of_position
         tick = from_tick
         while tick < before:
             active = next_active(tick)
@@ -392,66 +344,38 @@ class InquiryScanSwarm:
                 tick = active
                 if tick >= before:
                     return None
-            if always:
-                limit = before
+            # Inline of listen_position(row, tick): one clkn computation
+            # feeds both the segment end and the position, saving a call
+            # in the hottest loop.
+            clkn = (tick + offset) % CLKN_WRAP
+            segment_end = (
+                tick + SCAN_FREQUENCY_CHANGE_TICKS - clkn % SCAN_FREQUENCY_CHANGE_TICKS
+            )
+            if segment_end > before:
+                segment_end = before
+            step = clkn // SCAN_FREQUENCY_CHANGE_TICKS
+            position = train_start + (base_in_train + step) % TRAIN_SIZE
+            # Answer from the position's cached timetable.  Clipping the
+            # table to the row's segment gives exactly the bounded
+            # first-tx lookup, because a tx instant is independent of
+            # the cutoff.
+            block = tick // _TX_TABLE_SPAN
+            table = self._tx_table(position, block)
+            index = bisect_left(table, tick)
+            if index < len(table):
+                candidate = table[index]
+                if candidate < segment_end:
+                    return candidate
+                # candidate >= segment_end: no tx in the segment.
             else:
-                index = (tick - anchor) // interval
-                w_start = anchor + index * interval
-                if w_start + window_ticks <= tick:
-                    w_start += interval
-                if w_start >= before:
-                    return None
-                if tick < w_start:
-                    tick = w_start
-                limit = w_start + window_ticks
-                if limit > before:
-                    limit = before
-            if fixed:
-                segment_end = limit
-                position = base
-            else:
-                # Inline of listen_position(row, tick): one clkn
-                # computation feeds both the segment end and the
-                # position, saving a call in the hottest loop.
-                clkn = (tick + offset) % CLKN_WRAP
-                segment_end = (
-                    tick
-                    + SCAN_FREQUENCY_CHANGE_TICKS
-                    - clkn % SCAN_FREQUENCY_CHANGE_TICKS
-                )
-                if segment_end > limit:
-                    segment_end = limit
-                step = clkn // SCAN_FREQUENCY_CHANGE_TICKS
-                if sequence:
-                    position = (base + step) % NUM_INQUIRY_FREQUENCIES
-                else:  # TRAIN_LOCKED
-                    position = train_start + (base_in_train + step) % TRAIN_SIZE
-            if segment_end - tick <= _TX_SEGMENT_MAX:
-                # Phase-bounded segment: answer from the position's
-                # cached timetable.  Clipping the table to the row's
-                # segment gives exactly the bounded first-tx lookup,
-                # because a tx instant is independent of the cutoff.
-                block = tick // _TX_TABLE_SPAN
-                table = self._tx_table(position, block)
-                index = bisect_left(table, tick)
-                if index < len(table):
-                    candidate = table[index]
-                    if candidate < segment_end:
-                        return candidate
-                    # candidate >= segment_end: no tx in the segment.
-                else:
-                    # No tx in [tick, block end); the segment may spill
-                    # into the next block (it is at most half a span
-                    # long, so never further).
-                    boundary = (block + 1) * _TX_TABLE_SPAN
-                    if segment_end > boundary:
-                        table = self._tx_table(position, block + 1)
-                        if table and table[0] < segment_end:
-                            return table[0]
-            else:
-                heard = lookup(position, tick, segment_end)
-                if heard is not None:
-                    return heard
+                # No tx in [tick, block end); the segment may spill into
+                # the next block (it is at most half a span long, so
+                # never further).
+                boundary = (block + 1) * _TX_TABLE_SPAN
+                if segment_end > boundary:
+                    table = self._tx_table(position, block + 1)
+                    if table and table[0] < segment_end:
+                        return table[0]
             tick = segment_end
         return None
 
@@ -466,7 +390,7 @@ class InquiryScanSwarm:
     def _on_advance(self) -> None:
         """Advance every row due now — the swarm's one kernel callback.
 
-        Rows are processed in FIFO order (= the object engine's event
+        Rows are processed in FIFO order (= the per-slave scanners' event
         sequence order); FHS responses produced during the pass are
         collected and announced to the channel in one batched call at
         the end (safe: deliveries never share a tick with hear/respond
@@ -506,9 +430,6 @@ class InquiryScanSwarm:
         if batch:
             self.channel.schedule_fhs_batch(batch_tick, batch_channel, batch)
             batch.clear()
-        if self._m_advances is not None:
-            self._m_advances.inc()
-            self._m_steps.inc(len(rows))
 
     def _step_seek(self, row: int, now: int) -> None:
         """Mirror of ``InquiryScanner._seek``."""
@@ -523,8 +444,6 @@ class InquiryScanSwarm:
     def _step_first_hear(self, row: int, now: int) -> None:
         """Mirror of ``InquiryScanner._on_first_hear``."""
         self._ids_heard[row] += 1
-        if self._m_ids_heard is not None:
-            self._m_ids_heard.inc()
         if self._first_heard[row] < 0:
             self._first_heard[row] = now
         self._begin_backoff(row, now)
@@ -532,8 +451,6 @@ class InquiryScanSwarm:
     def _begin_backoff(self, row: int, now: int) -> None:
         """Mirror of ``InquiryScanner._begin_backoff`` (the only draw)."""
         self._backoffs[row] += 1
-        if self._m_backoffs is not None:
-            self._m_backoffs.inc()
         backoff_ticks = self._rngs[row].backoff_slots(self._backoff_max) * TICKS_PER_SLOT
         self._state[row] = _BACKOFF
         self._action[row] = _ACT_BACKOFF_END
@@ -541,16 +458,12 @@ class InquiryScanSwarm:
 
     def _step_after_backoff(self, row: int, now: int) -> None:
         """Mirror of ``InquiryScanner._after_backoff``."""
-        ignore_windows = self._reentry_immediate
-        heard = self.next_hear(row, now, ignore_windows)
+        heard = self.next_hear(row, now)
         if heard is None:
             self._state[row] = _EXHAUSTED
             return
-        # inqrespTO only measures continuous listening (see scan.py).
-        if (
-            (ignore_windows or self._continuous)
-            and heard - now > self._response_timeout
-        ):
+        # inqrespTO: expired before any ID arrived, back to plain scan.
+        if heard - now > self._response_timeout:
             self._state[row] = _SEEKING
             self._action[row] = _ACT_HEAR
             self._queue(heard, row)
@@ -566,8 +479,6 @@ class InquiryScanSwarm:
         actual channel announcement across same-advance responders.
         """
         self._ids_heard[row] += 1
-        if self._m_ids_heard is not None:
-            self._m_ids_heard.inc()
         position = self.listen_position(row, now)
         rf_channel = self._sequence[position]
         tx_tick = now + INQUIRY_RESPONSE_DELAY_TICKS
@@ -580,8 +491,6 @@ class InquiryScanSwarm:
             )
         )
         self._responses[row] += 1
-        if self._m_responses is not None:
-            self._m_responses.inc()
         self._response_ticks[row].append(tx_tick)
         if self._first_response[row] < 0:
             self._first_response[row] = tx_tick
@@ -598,7 +507,7 @@ class InquiryScanSwarm:
         if heard is None:
             self._state[row] = _EXHAUSTED
             return tx_tick, rf_channel
-        if self._continuous and heard - now > self._response_timeout:
+        if heard - now > self._response_timeout:
             self._state[row] = _SEEKING
             self._action[row] = _ACT_HEAR
             self._queue(heard, row)
@@ -620,9 +529,8 @@ class SwarmSlave:
     """A lightweight per-slave handle onto a swarm row.
 
     Duck-types the slice of :class:`InquiryScanner` the experiments and
-    the BIPS facade use (``start``/``stop``/``state``/``stats``/
-    ``listen_position``/``name``/``address``), so call sites branch
-    only on construction, never on use.
+    tests use (``start``/``stop``/``state``/``stats``/``name``/
+    ``address``).
     """
 
     swarm: InquiryScanSwarm
@@ -640,29 +548,21 @@ class SwarmSlave:
 
     @property
     def state(self) -> ScannerState:
-        """Lifecycle state (object-engine enum)."""
+        """Lifecycle state (``InquiryScanner`` enum)."""
         return self.swarm.state_of(self.row)
 
     @property
     def stats(self) -> ScannerStats:
-        """Counters, as an object-engine ``ScannerStats``."""
+        """Counters, as an ``InquiryScanner`` ``ScannerStats``."""
         return self.swarm.stats_of(self.row)
 
-    def start(self, at_tick: Optional[int] = None) -> None:
-        """Begin scanning (immediately, or at ``at_tick``)."""
-        self.swarm.start_row(self.row, at_tick)
+    def start(self) -> None:
+        """Begin scanning now."""
+        self.swarm.start_row(self.row)
 
     def stop(self) -> None:
         """Abort scanning."""
         self.swarm.stop_row(self.row)
-
-    def listen_position(self, tick: int) -> int:
-        """Sequence position the slave listens on at ``tick``."""
-        return self.swarm.listen_position(self.row, tick)
-
-    def next_hear(self, from_tick: int, ignore_windows: bool = False) -> Optional[int]:
-        """First tick >= ``from_tick`` at which the slave hears an ID."""
-        return self.swarm.next_hear(self.row, from_tick, ignore_windows)
 
 
 __all__ = ["InquiryScanSwarm", "SwarmSlave"]

@@ -28,14 +28,12 @@ from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
 from repro.bluetooth.constants import NUM_INQUIRY_FREQUENCIES
 from repro.bluetooth.device import BluetoothDevice
 from repro.bluetooth.scan import InquiryScanner
-from repro.bluetooth.swarm import InquiryScanSwarm, SwarmSlave
 from repro.lan.messages import LocationQuery, LoginRequest, PathQuery
 from repro.lan.transport import LANTransport
 from repro.mobility.walker import BuildingWalker, WalkTimeline
 from repro.obs.events import EventBus, ServerBrownout, WorkstationFailed
 from repro.obs.metrics import MetricsRegistry
 from repro.radio.interference import SharedBand
-from repro.sim.batch import resolve_engine
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -73,7 +71,7 @@ class TrackedUser:
     password: str
     timeline: Optional[WalkTimeline] = None
     inbox: list[Any] = field(default_factory=list)
-    scanners: list["InquiryScanner | SwarmSlave"] = field(default_factory=list)
+    scanners: list[InquiryScanner] = field(default_factory=list)
 
     @property
     def endpoint(self) -> str:
@@ -177,15 +175,10 @@ class BIPSSimulation:
         spans: Optional["SpanTracer"] = None,
         profiler: Optional["Profiler"] = None,
         flight: Optional["FlightRecorder"] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.plan = plan if plan is not None else academic_department()
         self.plan.validate()
         self.config = config if config is not None else BIPSConfig()
-        # Engine choice is an execution knob, not part of the config:
-        # it never reaches the config digest, so cache keys and trial
-        # seeds are identical on either engine.
-        self.engine = resolve_engine(engine)
         # One registry and one event bus span the whole pipeline; callers
         # may supply their own (e.g. to aggregate several simulations).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -247,8 +240,6 @@ class BIPSSimulation:
         self._next_query_id = 1
         self._horizon_tick = 0
         self._tracking_latencies_observed = False
-        # Batched engine: one swarm per room's piconet, created lazily.
-        self._swarms: dict[str, InquiryScanSwarm] = {}
 
     def _build_workstations(self) -> None:
         room_ids = self.plan.room_ids()
@@ -387,22 +378,6 @@ class BIPSSimulation:
         self._attach_timeline(user, timeline)
         return timeline
 
-    def _swarm_for(self, room_id: str) -> InquiryScanSwarm:
-        """The room piconet's swarm (batched engine), created lazily."""
-        swarm = self._swarms.get(room_id)
-        if swarm is None:
-            workstation = self.workstations[room_id]
-            swarm = InquiryScanSwarm(
-                self.kernel,
-                workstation.schedule,
-                workstation.channel,
-                config=self.config.handheld_scan_config(),
-                metrics=self.metrics,
-                name=room_id,
-            )
-            self._swarms[room_id] = swarm
-        return swarm
-
     def _make_scanner(
         self,
         room_id: str,
@@ -411,21 +386,13 @@ class BIPSSimulation:
         scan_config,
         horizon_tick: int,
         name: str,
-    ) -> "InquiryScanner | SwarmSlave":
-        """One scanning presence in a room's piconet, on either engine.
+    ) -> InquiryScanner:
+        """One scanning presence in a room's piconet.
 
-        Both branches take the same RNG stream and defaults, so a run
-        replays byte-identically whichever engine builds it.
+        Per-slave scanners, not a swarm: walkers join and leave rooms at
+        scattered ticks and a room holds only a handful of them, which
+        is where the per-slave scanner is faster (docs/performance.md).
         """
-        if self.engine == "batched":
-            return self._swarm_for(room_id).add_slave(
-                address=device.address,
-                rng=rng,
-                clock=device.clock,
-                base_phase=device.base_phase,
-                horizon_tick=horizon_tick,
-                name=name,
-            )
         workstation = self.workstations[room_id]
         return InquiryScanner(
             kernel=self.kernel,

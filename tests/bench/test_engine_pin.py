@@ -1,9 +1,10 @@
-"""The committed baseline must keep the batched engine's pinned wins.
+"""The committed baseline must keep the inquiry swarm's pinned wins.
 
 These assertions read ``benchmarks/baseline.json`` — the numbers the
 repo ships, not a fresh measurement — so they are deterministic and
-fail only when someone re-records the baseline with the batched
-engine's advantage eroded (or drops/skips the swarm cases entirely).
+fail only when someone re-records the baseline with the swarm's
+advantage over per-slave scanners eroded (or drops/skips the swarm
+cases entirely).
 The measurement itself is re-taken by the CI bench job; this test
 guards the *recorded* contract: the 1000-piconet fleet case runs at
 least 2x faster batched than object.
@@ -55,7 +56,7 @@ def test_batched_speedup_is_pinned(pair: tuple[str, str], min_ratio: float) -> N
     assert ratio >= min_ratio, (
         f"{batched_name} is only {ratio:.2f}x {object_name} in the committed "
         f"baseline (needs >= {min_ratio}x); do not re-record the baseline "
-        f"with the batched engine's advantage eroded"
+        f"with the swarm's advantage eroded"
     )
 
 

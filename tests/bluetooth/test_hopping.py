@@ -295,7 +295,7 @@ class TestNextTxEdgeCases:
 class TestTxTicksEnumeration:
     """tx_ticks_of_position == the full scan of next_tx_of_position.
 
-    The batched swarm engine precomputes these timetables and answers
+    The inquiry swarm precomputes these timetables and answers
     rendezvous queries by bisection, so the enumeration must agree with
     the single-query walk on every schedule shape.
     """

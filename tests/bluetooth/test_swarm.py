@@ -1,8 +1,10 @@
 """InquiryScanSwarm vs per-slave InquiryScanner: identical behaviour.
 
-The swarm is the batched engine's replacement for N per-slave scanner
-objects; its acceptance bar is exact equivalence — every counter, every
-response tick, every collision record, every master result.
+The swarm replaces N per-slave scanner objects in the Figure-2 piconet
+(continuous, train-locked listeners); its acceptance bar is exact
+equivalence — every counter, every response tick, every collision
+record, every master result — for every response mode, with and
+without enrolment stops.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.bluetooth.hopping import (
 )
 from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.scan import (
-    BackoffReentry,
     InquiryScanner,
     PhaseMode,
     ResponseMode,
@@ -31,8 +32,17 @@ from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
 
 
-def _run_piconet(engine, seed, slave_count, scan_config, schedule_factory, horizon):
-    """One piconet on either engine; returns every observable."""
+TRAIN_LOCKED = ScanConfig.continuous(phase_mode=PhaseMode.TRAIN_LOCKED)
+
+
+def _run_piconet(
+    engine, seed, slave_count, scan_config, schedule_factory, horizon, enroll=False
+):
+    """One piconet on either engine; returns every observable.
+
+    ``enroll`` stops each slave at the end of the inquiry window in
+    which the master discovered it, as the figure2 experiment does.
+    """
     kernel = Kernel()
     schedule = schedule_factory()
     master = InquiryProcedure(kernel, schedule, name="master")
@@ -42,38 +52,46 @@ def _run_piconet(engine, seed, slave_count, scan_config, schedule_factory, horiz
         if engine == "batched"
         else None
     )
-    handles = []
+    handles = {}
     for index in range(slave_count):
         rng = root.child("slave", str(index))
         clock = BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1))
         base_phase = rng.randint(0, 31)
-        anchor = rng.randint(0, scan_config.interval_ticks - 1)
+        address = BDAddr(0x1000 + index)
         if swarm is not None:
             handle = swarm.add_slave(
-                BDAddr(0x1000 + index),
+                address,
                 rng=rng.child("draws"),
                 clock=clock,
                 base_phase=base_phase,
-                window_anchor=anchor,
                 horizon_tick=horizon,
                 name=f"slave-{index}",
             )
         else:
             handle = InquiryScanner(
                 kernel,
-                BDAddr(0x1000 + index),
+                address,
                 schedule,
                 master.channel,
                 rng=rng.child("draws"),
                 config=scan_config,
                 clock=clock,
                 base_phase=base_phase,
-                window_anchor=anchor,
                 horizon_tick=horizon,
                 name=f"slave-{index}",
             )
         handle.start()
-        handles.append(handle)
+        handles[address] = handle
+    if enroll:
+
+        def on_discovered(packet, tick):
+            window = schedule.windows.containing(tick)
+            stop_at = window.end if window is not None else tick
+            kernel.schedule_at(
+                max(stop_at, kernel.now), handles[packet.sender].stop, label="enroll"
+            )
+
+        master.on_discovered = on_discovered
     kernel.run_until(horizon)
     slaves = [
         (
@@ -85,7 +103,7 @@ def _run_piconet(engine, seed, slave_count, scan_config, schedule_factory, horiz
             h.stats.first_response_tick,
             tuple(h.stats.response_ticks),
         )
-        for h in handles
+        for h in handles.values()
     ]
     stats = master.channel.stats
     collisions = tuple((c.tick, c.rf_channel, c.senders) for c in stats.collisions)
@@ -97,76 +115,84 @@ def _run_piconet(engine, seed, slave_count, scan_config, schedule_factory, horiz
     )
 
 
+def _figure2_schedule():
+    return periodic_inquiry(3200, 16000, strategy=TrainStrategy.A_ONLY)
+
+
 CASES = [
     pytest.param(
-        ScanConfig.continuous(phase_mode=PhaseMode.TRAIN_LOCKED),
-        lambda: periodic_inquiry(3200, 16000, strategy=TrainStrategy.A_ONLY),
+        TRAIN_LOCKED,
+        _figure2_schedule,
         64_000,
         8,
+        False,
         id="figure2-style-train-locked",
     ),
     pytest.param(
-        ScanConfig(),
-        lambda: continuous_inquiry(start_train=Train.B),
-        200_000,
-        5,
-        id="default-windows-sequence",
+        TRAIN_LOCKED,
+        _figure2_schedule,
+        64_000,
+        8,
+        True,
+        id="figure2-style-enrolment-stop",
     ),
     pytest.param(
-        ScanConfig.continuous(response_mode=ResponseMode.BACKOFF_EACH),
+        ScanConfig.continuous(
+            phase_mode=PhaseMode.TRAIN_LOCKED, response_mode=ResponseMode.BACKOFF_EACH
+        ),
         lambda: continuous_inquiry(),
         100_000,
         4,
+        False,
         id="backoff-each",
     ),
     pytest.param(
-        ScanConfig(
-            response_mode=ResponseMode.SINGLE,
-            backoff_reentry=BackoffReentry.NEXT_WINDOW,
+        ScanConfig.continuous(
+            phase_mode=PhaseMode.TRAIN_LOCKED, response_mode=ResponseMode.BACKOFF_EACH
+        ),
+        _figure2_schedule,
+        64_000,
+        10,
+        True,
+        id="backoff-each-enrolment-stop",
+    ),
+    pytest.param(
+        ScanConfig.continuous(
+            phase_mode=PhaseMode.TRAIN_LOCKED, response_mode=ResponseMode.SINGLE
         ),
         lambda: continuous_inquiry(),
-        300_000,
+        100_000,
         4,
-        id="single-next-window",
-    ),
-    pytest.param(
-        ScanConfig(phase_mode=PhaseMode.FIXED),
-        lambda: continuous_inquiry(),
-        200_000,
-        3,
-        id="fixed-phase",
-    ),
-    pytest.param(
-        ScanConfig.interleaved_with_page_scan(),
-        lambda: continuous_inquiry(),
-        400_000,
-        3,
-        id="interleaved-page-scan",
+        False,
+        id="single",
     ),
 ]
 
 
 class TestSwarmEquivalence:
-    @pytest.mark.parametrize("scan_config, schedule_factory, horizon, slaves", CASES)
-    def test_swarm_matches_scanners(self, scan_config, schedule_factory, horizon, slaves):
+    @pytest.mark.parametrize(
+        "scan_config, schedule_factory, horizon, slaves, enroll", CASES
+    )
+    def test_swarm_matches_scanners(
+        self, scan_config, schedule_factory, horizon, slaves, enroll
+    ):
         object_run = _run_piconet(
-            "object", 99, slaves, scan_config, schedule_factory, horizon
+            "object", 99, slaves, scan_config, schedule_factory, horizon, enroll
         )
         batched_run = _run_piconet(
-            "batched", 99, slaves, scan_config, schedule_factory, horizon
+            "batched", 99, slaves, scan_config, schedule_factory, horizon, enroll
         )
         assert object_run == batched_run
 
     def test_many_seeds_single_slave(self):
         # One slave, many clock/phase draws: sweeps the rendezvous
         # arithmetic across offsets without a master-side confounder.
-        scan = ScanConfig()
         for seed in range(20):
             object_run = _run_piconet(
-                "object", seed, 1, scan, continuous_inquiry, 120_000
+                "object", seed, 1, TRAIN_LOCKED, continuous_inquiry, 120_000
             )
             batched_run = _run_piconet(
-                "batched", seed, 1, scan, continuous_inquiry, 120_000
+                "batched", seed, 1, TRAIN_LOCKED, continuous_inquiry, 120_000
             )
             assert object_run == batched_run, f"seed {seed} diverged"
 
@@ -175,9 +201,7 @@ class TestSwarmLifecycle:
     def _swarm(self, kernel, horizon=1 << 20):
         schedule = continuous_inquiry()
         master = InquiryProcedure(kernel, schedule, name="m")
-        swarm = InquiryScanSwarm(
-            kernel, schedule, master.channel, config=ScanConfig(), name="life"
-        )
+        swarm = InquiryScanSwarm(kernel, schedule, master.channel, name="life")
         rng = RandomStream(5, "life")
         handle = swarm.add_slave(
             BDAddr(0xA), rng=rng, clock=BluetoothClock(offset=123), horizon_tick=horizon
@@ -206,9 +230,12 @@ class TestSwarmLifecycle:
         assert handle.stats.ids_heard == heard_at_stop
 
     def test_exhausted_past_horizon(self, kernel):
+        # A continuous listener hears the master before tick 4 and backs
+        # off; the longest backoff (1023 slots) ends well before 4096,
+        # after which nothing can be heard before the horizon.
         _, handle = self._swarm(kernel, horizon=4)
         handle.start()
-        kernel.run_until(100)
+        kernel.run_until(4096)
         assert handle.state is ScannerState.EXHAUSTED
 
     def test_base_phase_validated(self, kernel):
@@ -220,16 +247,31 @@ class TestSwarmLifecycle:
         swarm, handle = self._swarm(kernel)
         assert handle.address == BDAddr(0xA)
         assert handle.name == str(BDAddr(0xA))
-        assert handle.listen_position(0) == swarm.listen_position(handle.row, 0)
+        assert handle.swarm is swarm and handle.row == 0
         assert swarm.slave_count == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(ScanConfig(), id="windowed"),
+            pytest.param(ScanConfig.interleaved_with_page_scan(), id="interleaved"),
+            pytest.param(ScanConfig.continuous(), id="continuous-sequence"),
+            pytest.param(
+                ScanConfig.continuous(phase_mode=PhaseMode.FIXED), id="continuous-fixed"
+            ),
+        ],
+    )
+    def test_unsupported_config_rejected(self, kernel, config):
+        schedule = continuous_inquiry()
+        master = InquiryProcedure(kernel, schedule, name="m")
+        with pytest.raises(ValueError, match="continuous TRAIN_LOCKED"):
+            InquiryScanSwarm(kernel, schedule, master.channel, config=config)
 
     def test_next_hear_matches_scanner(self, kernel):
         schedule = continuous_inquiry()
         master = InquiryProcedure(kernel, schedule, name="m")
         clock = BluetoothClock(offset=987_654)
-        swarm = InquiryScanSwarm(
-            kernel, schedule, master.channel, config=ScanConfig(), name="nh"
-        )
+        swarm = InquiryScanSwarm(kernel, schedule, master.channel, name="nh")
         handle = swarm.add_slave(
             BDAddr(0xC), rng=RandomStream(7, "a"), clock=clock, base_phase=9
         )
@@ -239,12 +281,14 @@ class TestSwarmLifecycle:
             schedule,
             master.channel,
             rng=RandomStream(7, "a"),
-            config=ScanConfig(),
+            config=TRAIN_LOCKED,
             clock=clock,
             base_phase=9,
         )
         for from_tick in (0, 1, 37, 4095, 4096, 70_000):
-            for ignore in (False, True):
-                assert handle.next_hear(from_tick, ignore) == scanner.next_hear(
-                    from_tick, ignore_windows=ignore
-                ), (from_tick, ignore)
+            assert swarm.next_hear(handle.row, from_tick) == scanner.next_hear(
+                from_tick
+            ), from_tick
+            assert swarm.listen_position(
+                handle.row, from_tick
+            ) == scanner.listen_position(from_tick), from_tick

@@ -137,6 +137,19 @@ class TestFigure2:
         grid = Figure2Config(horizon_seconds=1.0, grid_step_seconds=0.5).time_grid()
         assert grid == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize("step", [0.0, -0.25])
+    def test_non_positive_grid_step_rejected(self, step):
+        # A zero or negative step would never reach the horizon.
+        with pytest.raises(ValueError, match="grid_step_seconds"):
+            Figure2Config(grid_step_seconds=step)
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon_seconds"):
+            Figure2Config(horizon_seconds=-1.0)
+
+    def test_zero_horizon_grid_is_origin(self):
+        assert Figure2Config(horizon_seconds=0.0).time_grid() == [0.0]
+
 
 class TestSection5:
     @pytest.fixture(scope="class")

@@ -78,7 +78,7 @@ class TestDelivery:
 
 
 class TestBatchAnnounce:
-    """schedule_fhs_batch: the batched engine's vectorized announce."""
+    """schedule_fhs_batch: the inquiry swarm's vectorized announce."""
 
     def test_batch_equals_sequential(self):
         from repro.sim.kernel import Kernel

@@ -1,36 +1,10 @@
-"""Tests for the struct-of-arrays batch store and engine selection."""
+"""Tests for the struct-of-arrays batch store."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.batch import ENGINE_ENV_VAR, ENGINES, BatchStore, resolve_engine
-
-
-class TestResolveEngine:
-    def test_default_is_object(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine() == "object"
-
-    def test_explicit_choice_wins(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "batched")
-        assert resolve_engine("object") == "object"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "batched")
-        assert resolve_engine() == "batched"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("vectorized")
-
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "typo")
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine()
-
-    def test_engine_names(self):
-        assert ENGINES == ("object", "batched")
+from repro.sim.batch import BatchStore
 
 
 class TestColumns:
