@@ -221,15 +221,16 @@ def _swarm_workload(
             base_phase = rng.randint(0, 15)
             address = BDAddr(0x10000 * piconet + slave + 1)
             if swarm is not None:
-                handle = swarm.add_slave(
+                row = swarm.add_slave(
                     address,
                     rng=rng.child("draws"),
                     clock=clock,
                     base_phase=base_phase,
                     horizon_tick=horizon_ticks,
                 )
+                swarm.start_row(row)
             else:
-                handle = InquiryScanner(
+                InquiryScanner(
                     kernel,
                     address,
                     schedule,
@@ -239,8 +240,7 @@ def _swarm_workload(
                     clock=clock,
                     base_phase=base_phase,
                     horizon_tick=horizon_ticks,
-                )
-            handle.start()
+                ).start()
 
     def run() -> int:
         kernel.run_until(horizon_ticks)

@@ -6,7 +6,7 @@ Layers:
 * hopping — inquiry trains and the master transmit schedule
 * discovery — :class:`InquiryProcedure` (master) and
   :class:`InquiryScanner` (slave, with the v1.1 random backoff)
-* connection setup — :class:`PageProcedure`, :class:`Connection`,
+* connection setup — :class:`SlotLevelPager`, :class:`Connection`,
   :class:`Piconet`
 """
 
@@ -50,8 +50,7 @@ from .hopping import (
 )
 from .inquiry import InquiryProcedure, InquiryResult
 from .packets import DM1Packet, FHSPacket, IDPacket, NullPacket, PacketType, PollPacket
-from .page import PageOutcome, PageProcedure, PageResult, PageScanBehavior
-from .paging import N_PAGE, SlotLevelPageOutcome, SlotLevelPager
+from .paging import N_PAGE, PageOutcome, PageResult, SlotLevelPageOutcome, SlotLevelPager
 from .piconet import Piconet, PiconetFullError
 from .scan import (
     BackoffReentry,
@@ -109,9 +108,7 @@ __all__ = [
     "PacketType",
     "PollPacket",
     "PageOutcome",
-    "PageProcedure",
     "PageResult",
-    "PageScanBehavior",
     "N_PAGE",
     "SlotLevelPageOutcome",
     "SlotLevelPager",

@@ -1,8 +1,8 @@
-"""Slot-level page procedure (§3.2), mechanically simulated.
+"""The page procedure (§3.2): connection set-up, simulated slot by slot.
 
-Unlike :mod:`repro.bluetooth.page` — an analytic model good enough for
-the BIPS core — this module plays the page phase out on the air, with
-the same machinery as inquiry:
+After inquiry the master knows a slave's BD_ADDR and native clock (from
+the FHS response).  This module plays the page phase out on the air,
+with the same machinery as inquiry:
 
 * the master transmits ID packets over the **slave's** page hopping
   sequence (derived from the slave's LAP), two per even slot, in
@@ -24,11 +24,13 @@ the same machinery as inquiry:
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.sim.kernel import EventHandle, Kernel
 
+from .address import BDAddr
 from .btclock import CLKN_WRAP, BluetoothClock
 from .constants import (
     NUM_INQUIRY_FREQUENCIES,
@@ -44,7 +46,6 @@ from .hopping import (
     TrainStrategy,
     train_of_position,
 )
-from .page import PageOutcome, PageResult
 from .scan import next_listen_rendezvous
 
 #: The page response/handshake occupies six slots.
@@ -53,6 +54,28 @@ PAGE_HANDSHAKE_TICKS = 6 * TICKS_PER_SLOT
 #: N_page for the mandatory R1 scan mode: each page train repeats 128
 #: times (1.28 s) before the master switches trains.
 N_PAGE = 128
+
+
+class PageOutcome(enum.Enum):
+    """Terminal states of one page attempt."""
+
+    CONNECTED = "connected"
+    TIMEOUT = "timeout"
+
+
+@dataclass(frozen=True)
+class PageResult:
+    """What a page attempt produced."""
+
+    address: BDAddr
+    outcome: PageOutcome
+    started_tick: int
+    finished_tick: int
+
+    @property
+    def latency_ticks(self) -> int:
+        """Page latency in ticks."""
+        return self.finished_tick - self.started_tick
 
 
 @dataclass(frozen=True)

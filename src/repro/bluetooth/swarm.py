@@ -4,14 +4,15 @@
 :class:`~repro.bluetooth.scan.InquiryScanner`.  Where the per-slave
 scanner is one Python object with one kernel event (plus an
 :class:`~repro.sim.kernel.EventHandle`) per state transition, the swarm
-keeps all slaves of one piconet as rows of a
-:class:`BatchStore` (:mod:`repro.sim.batch`) — clock offsets, hop phases,
-lifecycle state and counters are parallel ``array('q')`` columns — and
-files each row under the tick at which it next acts.  One handle-free
-kernel event per distinct due tick then advances every row due at that
-tick (:meth:`InquiryScanSwarm._on_advance`), and all FHS responses
-produced within one advance are announced to the radio channel in a
-single batched call.
+keeps all slaves of one piconet as integer rows: clock offsets, hop
+phases, lifecycle state and counters are parallel ``array('q')``
+columns, and a due index (tick -> rows, in filing order) files each row
+under the tick at which it next acts.  One handle-free kernel event per
+distinct due tick then advances every row due at that tick
+(:meth:`InquiryScanSwarm._on_advance`), and all FHS responses produced
+within one advance are announced to the radio channel in a single
+batched call.  Callers hold a slave as the row ``int`` that
+:meth:`InquiryScanSwarm.add_slave` returns.
 
 The swarm serves exactly one piconet shape: the Figure-2 one, where
 every slave listens continuously with a train-locked phase and the
@@ -29,6 +30,10 @@ and pinned by the golden payload digests): the swarm replays the
 * rows are filed in the order in which per-slave scanners would
   schedule their events, and buckets are processed FIFO, so same-tick
   slaves act in the same relative order;
+* the bucket of a tick is claimed whole when its event fires, so a row
+  re-filed for the current tick (a 0-slot backoff) opens a fresh bucket
+  and a fresh kernel event, behind everything already queued for that
+  tick — the per-slave scanner's same-tick continuation;
 * within one master schedule, ID transmissions occupy ticks congruent
   to {0, 1} (mod 4) past the window start while FHS deliveries occupy
   {2, 3}, so hear/respond steps never share a tick with channel
@@ -42,13 +47,12 @@ event where per-slave scanners fire N, by design.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 from repro.radio.channel import ResponseChannel
-from repro.sim.batch import BatchStore
 from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -131,7 +135,7 @@ class InquiryScanSwarm:
     :class:`ScanConfig`, which must be continuous with a TRAIN_LOCKED
     phase (the Figure-2 slave); its response mode, backoff bound and
     inqrespTO apply.  Per-slave variation (clock offset, base phase,
-    horizon, RNG stream) lives in the store columns.
+    horizon, RNG stream) lives in the row columns.
     """
 
     def __init__(
@@ -155,29 +159,25 @@ class InquiryScanSwarm:
         self.channel = channel
         self.config = config
         self.name = name
-        self.store = BatchStore(
-            "offset",  # device clock offset (CLKN = tick + offset mod 2^28)
-            "base",  # base sequence position (hop-frequency state)
-            "horizon",  # scanning stops at this tick
-            "state",  # lifecycle (power mode) code
-            "action",  # pending-action code for the next due tick
-            "ids_heard",
-            "backoffs",
-            "responses",
-            "first_heard",  # -1 until the first ID is heard
-            "first_response",  # -1 until the first FHS is sent
-        )
-        # Column aliases for the hot loop (array objects are stable).
-        self._offset = self.store.column("offset")
-        self._base = self.store.column("base")
-        self._horizon = self.store.column("horizon")
-        self._state = self.store.column("state")
-        self._action = self.store.column("action")
-        self._ids_heard = self.store.column("ids_heard")
-        self._backoffs = self.store.column("backoffs")
-        self._responses = self.store.column("responses")
-        self._first_heard = self.store.column("first_heard")
-        self._first_response = self.store.column("first_response")
+        # One signed 64-bit column per row attribute, indexed by row.
+        #: Device clock offset (CLKN = tick + offset mod 2^28).
+        self._offset: array[int] = array("q")
+        #: Base sequence position (hop-frequency state).
+        self._base: array[int] = array("q")
+        #: Scanning stops at this tick.
+        self._horizon: array[int] = array("q")
+        #: Lifecycle (power mode) code.
+        self._state: array[int] = array("q")
+        #: Pending-action code for the next due tick.
+        self._action: array[int] = array("q")
+        self._ids_heard: array[int] = array("q")
+        self._backoffs: array[int] = array("q")
+        self._responses: array[int] = array("q")
+        #: -1 until the first ID is heard / the first FHS is sent.
+        self._first_heard: array[int] = array("q")
+        self._first_response: array[int] = array("q")
+        # Due index: rows that act at a tick, in filing (FIFO) order.
+        self._due: dict[int, list[int]] = {}
         # Per-row Python objects the columns cannot hold.
         self._addresses: list[BDAddr] = []
         self._rngs: list[RandomStream] = []
@@ -210,7 +210,7 @@ class InquiryScanSwarm:
     @property
     def slave_count(self) -> int:
         """Number of slaves (rows) ever added to this swarm."""
-        return self.store.size
+        return len(self._offset)
 
     def add_slave(
         self,
@@ -220,26 +220,29 @@ class InquiryScanSwarm:
         base_phase: int = 0,
         horizon_tick: int = 1 << 62,
         name: str = "",
-    ) -> "SwarmSlave":
-        """Add one slave; defaults mirror ``InquiryScanner.__init__``."""
+    ) -> int:
+        """Add one slave and return its row; defaults mirror
+        ``InquiryScanner.__init__``."""
         if clock is None:
             clock = BluetoothClock()
         if not 0 <= base_phase < NUM_INQUIRY_FREQUENCIES:
             raise ValueError(f"base_phase out of range: {base_phase}")
-        row = self.store.add_row(
-            offset=clock.offset,
-            base=base_phase,
-            horizon=horizon_tick,
-            state=_IDLE,
-            action=0,
-            first_heard=-1,
-            first_response=-1,
-        )
+        row = len(self._offset)
+        self._offset.append(clock.offset)
+        self._base.append(base_phase)
+        self._horizon.append(horizon_tick)
+        self._state.append(_IDLE)
+        self._action.append(0)
+        self._ids_heard.append(0)
+        self._backoffs.append(0)
+        self._responses.append(0)
+        self._first_heard.append(-1)
+        self._first_response.append(-1)
         self._addresses.append(address)
         self._rngs.append(rng)
         self._names.append(name or str(address))
         self._response_ticks.append([])
-        return SwarmSlave(self, row)
+        return row
 
     # -- per-row control (mirrors InquiryScanner.start/stop) ---------------
 
@@ -383,8 +386,12 @@ class InquiryScanSwarm:
 
     def _queue(self, tick: int, row: int) -> None:
         """File ``row`` for ``tick``; first filer posts the kernel event."""
-        if self.store.push_due(tick, row):
+        bucket = self._due.get(tick)
+        if bucket is None:
+            self._due[tick] = [row]
             self.kernel.post_at(tick, self._on_advance, self._label)
+        else:
+            bucket.append(row)
 
     @hot_path
     def _on_advance(self) -> None:
@@ -394,10 +401,11 @@ class InquiryScanSwarm:
         sequence order); FHS responses produced during the pass are
         collected and announced to the channel in one batched call at
         the end (safe: deliveries never share a tick with hear/respond
-        steps — see the module docstring).
+        steps — see the module docstring).  The bucket is claimed whole,
+        so rows re-filed for ``now`` during the pass open a fresh one.
         """
         now = self.kernel.now
-        rows = self.store.advance(now)
+        rows = self._due.pop(now)
         state = self._state
         action = self._action
         batch = self._batch
@@ -519,50 +527,9 @@ class InquiryScanSwarm:
 
     def __repr__(self) -> str:
         return (
-            f"InquiryScanSwarm(name={self.name!r}, slaves={self.store.size}, "
-            f"pending_ticks={self.store.pending_ticks})"
+            f"InquiryScanSwarm(name={self.name!r}, slaves={self.slave_count}, "
+            f"pending_ticks={len(self._due)})"
         )
 
 
-@dataclass(frozen=True)
-class SwarmSlave:
-    """A lightweight per-slave handle onto a swarm row.
-
-    Duck-types the slice of :class:`InquiryScanner` the experiments and
-    tests use (``start``/``stop``/``state``/``stats``/``name``/
-    ``address``).
-    """
-
-    swarm: InquiryScanSwarm
-    row: int
-
-    @property
-    def address(self) -> BDAddr:
-        """The slave's Bluetooth device address."""
-        return self.swarm._addresses[self.row]
-
-    @property
-    def name(self) -> str:
-        """The slave's display name."""
-        return self.swarm._names[self.row]
-
-    @property
-    def state(self) -> ScannerState:
-        """Lifecycle state (``InquiryScanner`` enum)."""
-        return self.swarm.state_of(self.row)
-
-    @property
-    def stats(self) -> ScannerStats:
-        """Counters, as an ``InquiryScanner`` ``ScannerStats``."""
-        return self.swarm.stats_of(self.row)
-
-    def start(self) -> None:
-        """Begin scanning now."""
-        self.swarm.start_row(self.row)
-
-    def stop(self) -> None:
-        """Abort scanning."""
-        self.swarm.stop_row(self.row)
-
-
-__all__ = ["InquiryScanSwarm", "SwarmSlave"]
+__all__ = ["InquiryScanSwarm"]

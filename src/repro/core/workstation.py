@@ -20,8 +20,7 @@ from repro.bluetooth.connection import DisconnectReason
 from repro.bluetooth.device import BluetoothDevice
 from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.link import RoundRobinLinkScheduler
-from repro.bluetooth.page import PageOutcome
-from repro.bluetooth.paging import SlotLevelPager
+from repro.bluetooth.paging import PageOutcome, SlotLevelPager
 from repro.bluetooth.piconet import Piconet, PiconetFullError
 from repro.lan.messages import PresenceInvalidation, PresenceUpdate, WorkstationHello
 from repro.lan.transport import LANTransport

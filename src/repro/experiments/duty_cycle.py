@@ -67,6 +67,14 @@ class Section5Config:
             raise ValueError(f"replications must be positive: {self.replications}")
         if self.inquiry_window_seconds <= 0:
             raise ValueError(f"window must be positive: {self.inquiry_window_seconds}")
+        if self.coverage_diameter_m <= 0:
+            raise ValueError(
+                f"coverage_diameter_m must be positive: {self.coverage_diameter_m}"
+            )
+        if self.mean_walking_speed_mps <= 0:
+            raise ValueError(
+                f"mean_walking_speed_mps must be positive: {self.mean_walking_speed_mps}"
+            )
 
 
 @dataclass

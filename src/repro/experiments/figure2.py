@@ -38,7 +38,6 @@ from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.scan import PhaseMode, ResponseMode, ScanConfig
 from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.runner.executor import ExperimentRunner
-from repro.runner.seeding import config_digest, trial_seed
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -213,9 +212,9 @@ def replication_payload(config: Figure2Config, replication: int, seed: int) -> d
     # The whole dense population is present from tick 0 and shares one
     # scan config, so one swarm advances it (see repro.bluetooth.swarm).
     swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=scan, name="piconet")
-    scanners = {}
+    rows = {}
     for index, device in enumerate(devices):
-        scanner = swarm.add_slave(
+        row = swarm.add_slave(
             address=device.address,
             rng=rng.child("slave", str(index)),
             clock=device.clock,
@@ -223,8 +222,8 @@ def replication_payload(config: Figure2Config, replication: int, seed: int) -> d
             horizon_tick=horizon,
             name=device.name,
         )
-        scanners[device.address] = scanner
-        scanner.start()
+        rows[device.address] = row
+        swarm.start_row(row)
 
     if config.enroll_discovered:
         # At each window's end the master pages and connects everything
@@ -234,7 +233,7 @@ def replication_payload(config: Figure2Config, replication: int, seed: int) -> d
             stop_at = window.end if window is not None else tick
             kernel.schedule_at(
                 max(stop_at, kernel.now),
-                lambda addr=packet.sender: scanners[addr].stop(),
+                lambda row=rows[packet.sender]: swarm.stop_row(row),
                 label="enroll",
             )
 
@@ -247,17 +246,6 @@ def replication_payload(config: Figure2Config, replication: int, seed: int) -> d
         "collisions": master.channel.stats.collision_events,
         "blocked": master.responses_blocked,
     }
-
-
-def run_replication(
-    config: Figure2Config, slave_count: int, replication: int
-) -> dict:
-    """One replication with the exact seed the runner would derive."""
-    cell = cell_config(config, slave_count)
-    digest = config_digest(EXPERIMENT, cell)
-    return replication_payload(
-        cell, replication, trial_seed(EXPERIMENT, digest, replication)
-    )
 
 
 def run_figure2(

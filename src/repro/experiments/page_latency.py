@@ -15,8 +15,7 @@ from typing import Optional
 from repro.analysis.stats import Summary, summarize
 from repro.analysis.tables import render_table
 from repro.bluetooth.device import make_devices
-from repro.bluetooth.page import PageOutcome
-from repro.bluetooth.paging import SlotLevelPager
+from repro.bluetooth.paging import PageOutcome, SlotLevelPager
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -49,7 +48,8 @@ class PageLatencyCase:
     """One sweep point's outcome."""
 
     estimate_error_periods: float
-    latency: Summary  # seconds, over connected attempts
+    #: Seconds, over connected attempts; None when no attempt connected.
+    latency: Optional[Summary]
     connected: int
     timeouts: int
     wrong_train_fraction: float
@@ -73,11 +73,12 @@ class PageLatencyResult:
         """Latency table over estimate staleness."""
         rows = []
         for case in self.cases:
+            latency = case.latency
             rows.append(
                 [
                     f"{case.estimate_error_periods:g} periods",
-                    f"{case.latency.mean:.4f}s",
-                    f"{case.latency.maximum:.4f}s",
+                    "—" if latency is None else f"{latency.mean:.4f}s",
+                    "—" if latency is None else f"{latency.maximum:.4f}s",
                     f"{case.wrong_train_fraction * 100:.0f}%",
                     f"{case.connected}/{case.connected + case.timeouts}",
                 ]
@@ -129,7 +130,7 @@ def run_page_latency(config: Optional[PageLatencyConfig] = None) -> PageLatencyR
         result.cases.append(
             PageLatencyCase(
                 estimate_error_periods=periods,
-                latency=summarize(latencies),
+                latency=summarize(latencies) if latencies else None,
                 connected=connected,
                 timeouts=timeouts,
                 wrong_train_fraction=wrong / config.samples_per_case,

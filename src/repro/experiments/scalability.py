@@ -18,7 +18,6 @@ from repro.building.layouts import linear_wing
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation
 from repro.runner.executor import ExperimentRunner
-from repro.runner.seeding import config_digest, trial_seed
 
 #: Runner experiment name; part of every point's seed derivation.
 EXPERIMENT = "scalability"
@@ -131,14 +130,6 @@ def point_payload(config: ScalabilityConfig, index: int, seed: int) -> dict:
         "mean_accuracy": sim.tracking_report().mean_accuracy,
         "kernel_events": sim.kernel.events_fired,
     }
-
-
-def run_point(config: ScalabilityConfig, rooms: int) -> ScalabilityPoint:
-    """One building size with the exact seed the runner would derive."""
-    index = config.room_counts.index(rooms)
-    digest = config_digest(EXPERIMENT, config)
-    payload = point_payload(config, index, trial_seed(EXPERIMENT, digest, index))
-    return ScalabilityPoint(**payload)
 
 
 def run_scalability(

@@ -38,7 +38,6 @@ HOT_PATH_MODULES = frozenset(
     {
         "repro.sim.kernel",
         "repro.radio.channel",
-        "repro.radio.medium",
         "repro.lan.transport",
         "repro.bluetooth.inquiry",
         "repro.bluetooth.scan",

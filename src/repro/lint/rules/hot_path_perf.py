@@ -1,7 +1,7 @@
 """PERF001: allocation audit of ``@hot_path`` functions and their callees.
 
 docs/performance.md identifies the per-event functions that dominate a
-run: the kernel drains, the inquiry hop schedule, radio coverage, LAN
+run: the kernel drain, the inquiry hop schedule, the FHS channel, LAN
 delivery.  Those carry the :func:`repro.sim.hotpath.hot_path` marker (a
 zero-cost identity decorator), and PERF001 audits the marked functions
 **plus everything they transitively call** inside the project for

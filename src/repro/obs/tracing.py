@@ -16,9 +16,9 @@ Design rules (the same contract the metrics plane obeys):
   exports.  Enabling tracing changes **no** simulated result
   (``tests/obs/test_tracing_determinism.py``).
 * **Free when off.** Components hold ``spans=None`` by default and
-  guard every call site, so untraced runs pay nothing; the kernel even
-  keeps its untraced drain loop untouched and switches to a separate
-  traced drain only when a tracer is attached.
+  guard every call site, so untraced runs pay nothing; the kernel has
+  one drain loop and, only when a tracer is attached, wraps labelled
+  callbacks in their spans as they are scheduled.
 * **Mergeable.** ``merge_worker_spans`` concatenates per-trial span
   lists in trial-index order and tags each record with its trial as
   the Chrome ``pid``, so ``--jobs N`` produces byte-identical merged

@@ -1,16 +1,14 @@
-"""Radio propagation and coverage models.
+"""Radio coverage model.
 
 The paper's class-2/3 Bluetooth radios give each BIPS piconet a
 coverage circle of roughly 10 m radius (20 m diameter, §5).  BIPS treats
 a room as the granule of location, so the model that matters is binary
-in-coverage/out-of-coverage; a simple distance threshold plus an
-optional log-distance path-loss model for finer studies.
+in-coverage/out-of-coverage: a distance threshold.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Coverage radius the paper assumes for a BIPS piconet (metres).
 DEFAULT_COVERAGE_RADIUS_M = 10.0
@@ -21,14 +19,10 @@ class CoverageModel:
     """Binary disc coverage: in range iff distance <= radius."""
 
     radius_m: float = DEFAULT_COVERAGE_RADIUS_M
-    #: ``radius_m ** 2``, precomputed for the square-distance fast path
-    #: (:meth:`in_range_sq` skips the ``sqrt`` inside ``hypot``).
-    radius_sq_m2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.radius_m <= 0:
             raise ValueError(f"radius must be positive: {self.radius_m}")
-        object.__setattr__(self, "radius_sq_m2", self.radius_m * self.radius_m)
 
     def in_range(self, distance_m: float) -> bool:
         """Whether a device at ``distance_m`` can communicate."""
@@ -36,51 +30,7 @@ class CoverageModel:
             raise ValueError(f"distance cannot be negative: {distance_m}")
         return distance_m <= self.radius_m
 
-    def in_range_sq(self, distance_sq_m2: float) -> bool:
-        """Range check on a *squared* distance (per-packet fast path)."""
-        return distance_sq_m2 <= self.radius_sq_m2
-
     @property
     def diameter_m(self) -> float:
         """Coverage diameter (the paper's 20 m crossing length)."""
         return 2.0 * self.radius_m
-
-
-@dataclass(frozen=True)
-class LogDistancePathLoss:
-    """Log-distance path loss: PL(d) = PL0 + 10·n·log10(d / d0).
-
-    Indoor office environments typically have a path-loss exponent
-    n ≈ 2.8-3.5; defaults follow common indoor measurements at 2.4 GHz.
-    """
-
-    reference_loss_db: float = 40.0
-    reference_distance_m: float = 1.0
-    exponent: float = 3.0
-
-    def path_loss_db(self, distance_m: float) -> float:
-        """Path loss in dB at ``distance_m`` (clamped to d0 up close)."""
-        if distance_m < 0:
-            raise ValueError(f"distance cannot be negative: {distance_m}")
-        distance = max(distance_m, self.reference_distance_m)
-        return self.reference_loss_db + 10.0 * self.exponent * math.log10(
-            distance / self.reference_distance_m
-        )
-
-    def max_range_m(self, link_budget_db: float) -> float:
-        """Largest distance whose path loss fits ``link_budget_db``.
-
-        A class-2 Bluetooth radio (4 dBm TX, ≈ -76 dBm sensitivity) has
-        ≈ 80 dB of budget, which with the defaults gives ≈ 21 m — the
-        paper's 20 m piconet diameter is the same regime.
-        """
-        if link_budget_db <= self.reference_loss_db:
-            return self.reference_distance_m
-        exponent_term = (link_budget_db - self.reference_loss_db) / (
-            10.0 * self.exponent
-        )
-        return self.reference_distance_m * (10.0 ** exponent_term)
-
-    def coverage(self, link_budget_db: float = 80.0) -> CoverageModel:
-        """Derive a binary coverage disc from a link budget."""
-        return CoverageModel(radius_m=self.max_range_m(link_budget_db))

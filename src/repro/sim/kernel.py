@@ -10,7 +10,7 @@ Fast-path design (see docs/performance.md):
   is resolved by C-level tuple comparison — ``seq`` is unique, so the
   payload is never compared.  The payload is the bare callback on the
   fast path; an :class:`EventHandle` is allocated only when the caller
-  needs cancellation (``schedule_at``/``schedule``) or a traced label.
+  needs cancellation (``schedule_at``/``schedule``).
 * Cancellation is a tombstone: the entry stays queued and is skipped
   when it surfaces.  A live ``pending`` counter keeps
   :attr:`Kernel.pending_events` O(1), and the queue is compacted when
@@ -22,10 +22,11 @@ Fast-path design (see docs/performance.md):
 * ``run_until`` peeks at the queue head and never pops an event beyond
   the target tick, so crossing a boundary does not pay a pop + re-push.
 
-The queue is one binary heap of entry tuples.  ``run_until`` drains it
-with :meth:`Kernel._drain_heap`, or with :meth:`Kernel._drain_spans`
-when a :class:`~repro.obs.tracing.SpanTracer` is attached; both fire
-the same events in the same order.
+The queue is one binary heap of entry tuples, and ``run_until`` drains
+it with one loop, :meth:`Kernel._drain_heap`, traced or not.  When a
+:class:`~repro.obs.tracing.SpanTracer` is attached, each labelled
+callback is wrapped in a kernel span when it is scheduled, so the drain
+itself never looks at labels or spans.
 """
 
 from __future__ import annotations
@@ -98,16 +99,13 @@ class EventHandle:
         """True while the event is scheduled and not cancelled or fired."""
         return not self.cancelled and self.callback is not None
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time}, label={self.label!r}, {state})"
 
 
 #: A queue entry.  The payload is the bare callback on the fast path
-#: and an :class:`EventHandle` for cancellable/labelled events; ``seq``
+#: and an :class:`EventHandle` for cancellable events; ``seq``
 #: is unique so tuple comparison never reaches the payload.
 Entry = tuple[int, int, Union[Callback, EventHandle]]
 
@@ -134,12 +132,10 @@ class Kernel:
         profiler: Optional["Profiler"] = None,
     ) -> None:
         self.clock = SimClock()
-        # Span tracing rides the labelled-event path: attaching a
-        # SpanTracer turns label retention on, so every labelled event
-        # can become a kernel span.
+        # With a SpanTracer attached, every labelled event is wrapped in
+        # a kernel span when it is scheduled (see _spanned).
         self._spans = spans
         self._profiler = profiler
-        self._trace_enabled = spans is not None
         self._seq = 0
         self._events_fired = 0
         self._pending = 0
@@ -191,23 +187,19 @@ class Kernel:
     def post_at(self, tick: int, callback: Callback, label: str = "") -> None:
         """Schedule ``callback`` at absolute time ``tick``, fire-and-forget.
 
-        The fast path: no :class:`EventHandle` is allocated unless the
-        event is labelled *and* tracing is on, so use this for hot
-        events that are never cancelled.  Semantics are otherwise
-        identical to :meth:`schedule_at`.
+        The fast path: no :class:`EventHandle` is allocated, so use this
+        for hot events that are never cancelled.  Semantics are
+        otherwise identical to :meth:`schedule_at`.
         """
         if tick < self.clock._now:
             raise SchedulingError(
                 f"cannot schedule {label or callback!r} at tick {tick}; "
                 f"now is {self.clock._now}"
             )
+        if label and self._spans is not None:
+            callback = self._spanned(label, tick, callback)
         seq = self._seq
-        payload: Union[Callback, EventHandle] = (
-            EventHandle(tick, seq, callback, label, self)
-            if label and self._trace_enabled
-            else callback
-        )
-        heapq.heappush(self._heap, (tick, seq, payload))
+        heapq.heappush(self._heap, (tick, seq, callback))
         self._seq = seq + 1
         self._pending += 1
 
@@ -221,13 +213,10 @@ class Kernel:
         if delay < 0:
             raise SchedulingError(f"negative delay {delay} for {label or callback!r}")
         tick = self.clock._now + delay
+        if label and self._spans is not None:
+            callback = self._spanned(label, tick, callback)
         seq = self._seq
-        payload: Union[Callback, EventHandle] = (
-            EventHandle(tick, seq, callback, label, self)
-            if label and self._trace_enabled
-            else callback
-        )
-        heapq.heappush(self._heap, (tick, seq, payload))
+        heapq.heappush(self._heap, (tick, seq, callback))
         self._seq = seq + 1
         self._pending += 1
 
@@ -244,6 +233,8 @@ class Kernel:
                 f"cannot schedule {label or callback!r} at tick {tick}; "
                 f"now is {self.clock.now}"
             )
+        if label and self._spans is not None:
+            callback = self._spanned(label, tick, callback)
         handle = EventHandle(tick, self._seq, callback, label, self)
         heapq.heappush(self._heap, (tick, self._seq, handle))
         self._seq += 1
@@ -255,6 +246,24 @@ class Kernel:
         if delay < 0:
             raise SchedulingError(f"negative delay {delay} for {label or callback!r}")
         return self.schedule_at(self.clock.now + delay, callback, label)
+
+    def _spanned(self, label: str, tick: int, callback: Callback) -> Callback:
+        """``callback`` wrapped in a ``kernel``-category span named
+        ``label``, so spans opened inside it (bluetooth, LAN, core)
+        parent to the dispatch that caused them."""
+        spans = self._spans
+        assert spans is not None
+
+        def fire() -> None:
+            span = spans.begin(label, "kernel", tick)
+            prev = spans.push(span)
+            try:
+                callback()
+            finally:
+                spans.pop(prev)
+                spans.end(span, tick)
+
+        return fire
 
     # -- tombstones ------------------------------------------------------
 
@@ -320,29 +329,16 @@ class Kernel:
 
     def _fire_entry(self, entry: Entry) -> None:
         """Fire one live entry (slow path shared by step())."""
-        time = entry[0]
         payload = entry[2]
         if isinstance(payload, EventHandle):
             callback = payload.callback
             payload.callback = None
-            label = payload.label
         else:
             callback = payload
-            label = ""
-        self.clock.advance_to(time)
+        self.clock.advance_to(entry[0])
         self._pending -= 1
         self._events_fired += 1
         assert callback is not None  # tombstones are filtered by callers
-        spans = self._spans
-        if label and spans is not None:
-            span = spans.begin(label, "kernel", time)
-            prev = spans.push(span)
-            try:
-                callback()
-            finally:
-                spans.pop(prev)
-                spans.end(span, time)
-            return
         callback()
 
     def _pop_next_live(self) -> Optional[Entry]:
@@ -381,12 +377,7 @@ class Kernel:
         profiler = self._profiler
         token = profiler.begin() if profiler is not None else 0.0
         try:
-            if self._spans is not None:
-                # Traced runs take a separate drain so the untraced hot
-                # loop stays byte-identical (and overhead-free).
-                self._drain_spans(tick)
-            else:
-                self._drain_heap(tick)
+            self._drain_heap(tick)
         finally:
             self._running = False
             self._flush_metrics()
@@ -437,64 +428,6 @@ class Kernel:
                     self._pending -= METRICS_FLUSH_INTERVAL
                     self._flush_metrics()
                 callback()
-        finally:
-            remainder = fired & flush_mask
-            self._events_fired += remainder
-            self._pending -= remainder
-
-    def _drain_spans(self, until: int) -> None:
-        """Fire all events with ``time <= until``, wrapping each labelled
-        event in a kernel span.
-
-        The traced sibling of :meth:`_drain_heap`: same batched-metrics
-        cadence, same finally-block remainder flush, but every labelled
-        event becomes
-        an ambient ``kernel``-category span for the duration of its
-        callback, so spans opened inside the callback (bluetooth, LAN,
-        core) parent to the dispatch that caused them.
-        """
-        spans = self._spans
-        assert spans is not None
-        heap = self._heap
-        clock = self.clock
-        pop = heapq.heappop
-        handle_cls = EventHandle
-        flush_mask = _FLUSH_MASK
-        fired = 0
-        try:
-            while heap:
-                entry = heap[0]
-                time = entry[0]
-                if time > until:
-                    break
-                pop(heap)
-                payload = entry[2]
-                if payload.__class__ is handle_cls:
-                    callback = payload.callback
-                    if callback is None:  # tombstone
-                        self._tombstones -= 1
-                        continue
-                    payload.callback = None
-                    label = payload.label
-                else:
-                    callback = payload
-                    label = ""
-                clock._now = time
-                fired += 1
-                if not fired & flush_mask:
-                    self._events_fired += METRICS_FLUSH_INTERVAL
-                    self._pending -= METRICS_FLUSH_INTERVAL
-                    self._flush_metrics()
-                if label:
-                    span = spans.begin(label, "kernel", time)
-                    prev = spans.push(span)
-                    try:
-                        callback()
-                    finally:
-                        spans.pop(prev)
-                        spans.end(span, time)
-                else:
-                    callback()
         finally:
             remainder = fired & flush_mask
             self._events_fired += remainder

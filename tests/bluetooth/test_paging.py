@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bluetooth.device import BluetoothDevice, make_devices
-from repro.bluetooth.page import PageOutcome
-from repro.bluetooth.paging import N_PAGE, PAGE_HANDSHAKE_TICKS, SlotLevelPager
+from repro.bluetooth.paging import N_PAGE, PAGE_HANDSHAKE_TICKS, PageOutcome, SlotLevelPager
 from repro.sim.clock import ticks_from_seconds
 from repro.sim.rng import RandomStream
 

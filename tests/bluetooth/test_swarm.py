@@ -4,7 +4,8 @@ The swarm replaces N per-slave scanner objects in the Figure-2 piconet
 (continuous, train-locked listeners); its acceptance bar is exact
 equivalence — every counter, every response tick, every collision
 record, every master result — for every response mode, with and
-without enrolment stops.
+without enrolment stops.  A swarm slave is the row ``int`` that
+``add_slave`` returns.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 
 from repro.bluetooth.address import BDAddr
 from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
+from repro.bluetooth.constants import INQUIRY_RESPONSE_DELAY_TICKS
 from repro.bluetooth.hopping import (
     Train,
     TrainStrategy,
@@ -52,14 +54,15 @@ def _run_piconet(
         if engine == "batched"
         else None
     )
-    handles = {}
+    stops = {}
+    observers = []
     for index in range(slave_count):
         rng = root.child("slave", str(index))
         clock = BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1))
         base_phase = rng.randint(0, 31)
         address = BDAddr(0x1000 + index)
         if swarm is not None:
-            handle = swarm.add_slave(
+            row = swarm.add_slave(
                 address,
                 rng=rng.child("draws"),
                 clock=clock,
@@ -67,8 +70,11 @@ def _run_piconet(
                 horizon_tick=horizon,
                 name=f"slave-{index}",
             )
+            swarm.start_row(row)
+            stops[address] = lambda row=row: swarm.stop_row(row)
+            observers.append(lambda row=row: (swarm.state_of(row), swarm.stats_of(row)))
         else:
-            handle = InquiryScanner(
+            scanner = InquiryScanner(
                 kernel,
                 address,
                 schedule,
@@ -80,30 +86,31 @@ def _run_piconet(
                 horizon_tick=horizon,
                 name=f"slave-{index}",
             )
-        handle.start()
-        handles[address] = handle
+            scanner.start()
+            stops[address] = scanner.stop
+            observers.append(lambda scanner=scanner: (scanner.state, scanner.stats))
     if enroll:
 
         def on_discovered(packet, tick):
             window = schedule.windows.containing(tick)
             stop_at = window.end if window is not None else tick
             kernel.schedule_at(
-                max(stop_at, kernel.now), handles[packet.sender].stop, label="enroll"
+                max(stop_at, kernel.now), stops[packet.sender], label="enroll"
             )
 
         master.on_discovered = on_discovered
     kernel.run_until(horizon)
     slaves = [
         (
-            h.state.value,
-            h.stats.ids_heard,
-            h.stats.backoffs,
-            h.stats.responses,
-            h.stats.first_heard_tick,
-            h.stats.first_response_tick,
-            tuple(h.stats.response_ticks),
+            state.value,
+            stats.ids_heard,
+            stats.backoffs,
+            stats.responses,
+            stats.first_heard_tick,
+            stats.first_response_tick,
+            tuple(stats.response_ticks),
         )
-        for h in handles.values()
+        for state, stats in (observe() for observe in observers)
     ]
     stats = master.channel.stats
     collisions = tuple((c.tick, c.rf_channel, c.senders) for c in stats.collisions)
@@ -166,6 +173,14 @@ CASES = [
         False,
         id="single",
     ),
+    pytest.param(
+        ScanConfig.continuous(phase_mode=PhaseMode.TRAIN_LOCKED, backoff_max_slots=0),
+        _figure2_schedule,
+        64_000,
+        8,
+        True,
+        id="zero-backoff-enrolment-stop",
+    ),
 ]
 
 
@@ -203,52 +218,85 @@ class TestSwarmLifecycle:
         master = InquiryProcedure(kernel, schedule, name="m")
         swarm = InquiryScanSwarm(kernel, schedule, master.channel, name="life")
         rng = RandomStream(5, "life")
-        handle = swarm.add_slave(
+        row = swarm.add_slave(
             BDAddr(0xA), rng=rng, clock=BluetoothClock(offset=123), horizon_tick=horizon
         )
-        return swarm, handle
+        return swarm, row
 
     def test_initial_state_idle(self, kernel):
-        _, handle = self._swarm(kernel)
-        assert handle.state is ScannerState.IDLE
-        assert handle.stats.ids_heard == 0
+        swarm, row = self._swarm(kernel)
+        assert swarm.state_of(row) is ScannerState.IDLE
+        assert swarm.stats_of(row).ids_heard == 0
 
     def test_double_start_rejected(self, kernel):
-        _, handle = self._swarm(kernel)
-        handle.start()
+        swarm, row = self._swarm(kernel)
+        swarm.start_row(row)
         with pytest.raises(RuntimeError):
-            handle.start()
+            swarm.start_row(row)
 
     def test_stop_freezes_row(self, kernel):
-        _, handle = self._swarm(kernel)
-        handle.start()
+        swarm, row = self._swarm(kernel)
+        swarm.start_row(row)
         kernel.run_until(10_000)
-        heard_at_stop = handle.stats.ids_heard
-        handle.stop()
+        heard_at_stop = swarm.stats_of(row).ids_heard
+        swarm.stop_row(row)
         kernel.run_until(200_000)
-        assert handle.state is ScannerState.STOPPED
-        assert handle.stats.ids_heard == heard_at_stop
+        assert swarm.state_of(row) is ScannerState.STOPPED
+        assert swarm.stats_of(row).ids_heard == heard_at_stop
 
     def test_exhausted_past_horizon(self, kernel):
         # A continuous listener hears the master before tick 4 and backs
         # off; the longest backoff (1023 slots) ends well before 4096,
         # after which nothing can be heard before the horizon.
-        _, handle = self._swarm(kernel, horizon=4)
-        handle.start()
+        swarm, row = self._swarm(kernel, horizon=4)
+        swarm.start_row(row)
         kernel.run_until(4096)
-        assert handle.state is ScannerState.EXHAUSTED
+        assert swarm.state_of(row) is ScannerState.EXHAUSTED
 
     def test_base_phase_validated(self, kernel):
         swarm, _ = self._swarm(kernel)
         with pytest.raises(ValueError):
             swarm.add_slave(BDAddr(0xB), rng=RandomStream(6, "x"), base_phase=32)
 
-    def test_handle_surface(self, kernel):
-        swarm, handle = self._swarm(kernel)
-        assert handle.address == BDAddr(0xA)
-        assert handle.name == str(BDAddr(0xA))
-        assert handle.swarm is swarm and handle.row == 0
-        assert swarm.slave_count == 1
+    def test_add_slave_returns_consecutive_rows(self, kernel):
+        swarm, row = self._swarm(kernel)
+        assert row == 0
+        assert swarm.add_slave(BDAddr(0xB), rng=RandomStream(6, "x")) == 1
+        assert swarm.slave_count == 2
+
+    def test_zero_backoff_refiles_into_a_fresh_bucket_in_fifo_order(self, kernel):
+        # Three slaves share one clock and phase, so they hear the same
+        # ID once the master starts at tick 100; they are filed for it
+        # in start order (0 at tick 0, then 2 and 1 at tick 1).  A 0-slot
+        # backoff re-files each row for the tick it heard on; that
+        # tick's bucket is already claimed, so the rows open a fresh one
+        # and answer within the same tick, still in filing order.
+        schedule = periodic_inquiry(3200, 16000, start=100)
+        master = InquiryProcedure(kernel, schedule, name="m")
+        config = ScanConfig.continuous(
+            phase_mode=PhaseMode.TRAIN_LOCKED,
+            backoff_max_slots=0,
+            response_mode=ResponseMode.SINGLE,
+        )
+        swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=config)
+        clock = BluetoothClock(offset=123)
+        rows = [
+            swarm.add_slave(BDAddr(0xA + i), rng=RandomStream(i, "z"), clock=clock)
+            for i in range(3)
+        ]
+        swarm.start_row(rows[0])
+        kernel.run_until(1)
+        swarm.start_row(rows[2])
+        swarm.start_row(rows[1])
+        kernel.run_until(20_000)
+        heard = swarm.stats_of(rows[0]).first_heard_tick
+        assert heard is not None and heard >= 100
+        for row in rows:
+            stats = swarm.stats_of(row)
+            assert stats.first_heard_tick == heard
+            assert stats.first_response_tick == heard + INQUIRY_RESPONSE_DELAY_TICKS
+        (collision,) = master.channel.stats.collisions
+        assert collision.senders == tuple(str(BDAddr(0xA + i)) for i in (0, 2, 1))
 
     @pytest.mark.parametrize(
         "config",
@@ -272,7 +320,7 @@ class TestSwarmLifecycle:
         master = InquiryProcedure(kernel, schedule, name="m")
         clock = BluetoothClock(offset=987_654)
         swarm = InquiryScanSwarm(kernel, schedule, master.channel, name="nh")
-        handle = swarm.add_slave(
+        row = swarm.add_slave(
             BDAddr(0xC), rng=RandomStream(7, "a"), clock=clock, base_phase=9
         )
         scanner = InquiryScanner(
@@ -286,9 +334,9 @@ class TestSwarmLifecycle:
             base_phase=9,
         )
         for from_tick in (0, 1, 37, 4095, 4096, 70_000):
-            assert swarm.next_hear(handle.row, from_tick) == scanner.next_hear(
+            assert swarm.next_hear(row, from_tick) == scanner.next_hear(
                 from_tick
             ), from_tick
-            assert swarm.listen_position(
-                handle.row, from_tick
-            ) == scanner.listen_position(from_tick), from_tick
+            assert swarm.listen_position(row, from_tick) == scanner.listen_position(
+                from_tick
+            ), from_tick

@@ -176,6 +176,22 @@ class TestSection5:
         text = result.render()
         assert "crossing" in text and "tracking load" in text
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("slave_count", 0),
+            ("replications", 0),
+            ("inquiry_window_seconds", 0.0),
+            ("coverage_diameter_m", 0.0),
+            ("coverage_diameter_m", -20.0),
+            ("mean_walking_speed_mps", 0.0),
+            ("mean_walking_speed_mps", -1.3),
+        ],
+    )
+    def test_invalid_config_rejected_before_any_trial(self, field, value):
+        with pytest.raises(ValueError):
+            Section5Config(**{field: value})
+
 
 class TestSweeps:
     def test_interleaving_sweep_shows_faster_pure_scan(self):

@@ -36,6 +36,21 @@ class TestPageLatencyExperiment:
         with pytest.raises(KeyError):
             result.case_for(99.0)
 
+    def test_sweep_point_with_no_connection(self):
+        # A 1 ms page timeout ends every attempt before the first
+        # page-scan window: the point reports zero connections and no
+        # latency instead of failing to summarize an empty sample.
+        result = run_page_latency(
+            PageLatencyConfig(
+                samples_per_case=3, timeout_seconds=0.001, estimate_error_periods=(0.0,)
+            )
+        )
+        (case,) = result.cases
+        assert case.connected == 0 and case.timeouts == 3
+        assert case.latency is None
+        row = next(line for line in result.render().splitlines() if "0 periods" in line)
+        assert row.count("—") == 2 and "0/3" in row
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PageLatencyConfig(samples_per_case=0)

@@ -131,14 +131,12 @@ class TestHotPathDecorator:
         # Importing the marked modules populates the runtime registry.
         import repro.bluetooth.hopping  # noqa: F401
         import repro.lan.transport  # noqa: F401
-        import repro.radio.medium  # noqa: F401
         import repro.sim.kernel  # noqa: F401
         from repro.sim.hotpath import HOT_PATH_REGISTRY
 
         expected = {
             "repro.sim.kernel.Kernel._drain_heap",
             "repro.bluetooth.hopping.InquiryTransmitSchedule.next_tx_of_position",
-            "repro.radio.medium.RadioMedium.stations_in_range_of",
             "repro.lan.transport.LANTransport._deliver",
         }
         assert expected <= set(HOT_PATH_REGISTRY)

@@ -11,7 +11,7 @@ from repro.bluetooth.device import BluetoothDevice
 from repro.bluetooth.hopping import Train, TrainStrategy, continuous_inquiry
 from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.packets import FHSPacket
-from repro.bluetooth.page import PageOutcome
+from repro.bluetooth.paging import PageOutcome
 from repro.bluetooth.paging import PAGE_HANDSHAKE_TICKS, SlotLevelPager
 from repro.bluetooth.scan import InquiryScanner, PhaseMode, ResponseMode, ScanConfig
 from repro.radio.channel import ResponseChannel

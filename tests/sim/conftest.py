@@ -1,10 +1,11 @@
 """Sim-layer fixtures.
 
 The ``kernel`` fixture here overrides the repo-root one so every kernel
-test in this directory runs through **both** drain loops: ``heap`` is a
-plain kernel (``Kernel._drain_heap``) and ``spans`` has a
-:class:`SpanTracer` attached (``Kernel._drain_spans``). Tracing must
-not change which events fire, when, or what the kernel's counters say.
+test in this directory runs both untraced (``heap``) and with a
+:class:`SpanTracer` attached (``spans``).  There is one drain loop
+either way; tracing wraps labelled callbacks when they are scheduled,
+and must not change which events fire, when, or what the kernel's
+counters say.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.sim.kernel import Kernel
 
 @pytest.fixture(params=["heap", "spans"])
 def kernel(request) -> Kernel:
-    """A fresh kernel, parametrized over the untraced and traced drains."""
+    """A fresh kernel, untraced or with a span tracer attached."""
     if request.param == "spans":
         return Kernel(spans=SpanTracer())
     return Kernel()

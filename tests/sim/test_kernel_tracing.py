@@ -1,10 +1,10 @@
-"""The traced kernel drain and the batched-metrics exactness contract.
+"""The traced kernel and the batched-metrics exactness contract.
 
-A kernel with a :class:`SpanTracer` attached takes a separate drain
-loop (``_drain_spans``); these tests pin that it fires the exact same
-events, in the same order, with the same clock and metrics as the
-untraced hot loop — and that ``flush_metrics()`` makes the batched
-instruments exact even mid-drain.
+A kernel with a :class:`SpanTracer` attached wraps each labelled
+callback in a kernel span when it is scheduled and drains with the same
+loop as an untraced one; these tests pin that it fires the exact same
+events, in the same order, with the same clock and metrics — and that
+``flush_metrics()`` makes the batched instruments exact even mid-drain.
 """
 
 from __future__ import annotations
