@@ -12,10 +12,8 @@ from conftest import save_result
 from repro.experiments.sweep import sweep_figure2_contention, sweep_inquiry_window
 
 
-def test_ablation_contention_mechanisms(benchmark):
-    sweep = benchmark.pedantic(
-        lambda: sweep_figure2_contention(replications=30), rounds=1, iterations=1
-    )
+def test_ablation_contention_mechanisms():
+    sweep = sweep_figure2_contention(replications=30)
     save_result("ablation_figure2_contention", sweep.render())
     full = sweep.row("full model (paper)")
     no_capture = sweep.row("no receiver capture")
@@ -44,10 +42,8 @@ def test_ablation_contention_mechanisms(benchmark):
     assert full.values[3] > full.values[2]
 
 
-def test_ablation_inquiry_window_knee(benchmark):
-    sweep = benchmark.pedantic(
-        lambda: sweep_inquiry_window(replications=40), rounds=1, iterations=1
-    )
+def test_ablation_inquiry_window_knee():
+    sweep = sweep_inquiry_window(replications=40)
     save_result("ablation_inquiry_window", sweep.render())
     fractions = {row.label: row.values[0] for row in sweep.rows}
 

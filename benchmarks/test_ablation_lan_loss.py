@@ -93,8 +93,8 @@ def _run_grid():
     return grid
 
 
-def test_lan_loss_and_refresh(benchmark):
-    grid = benchmark.pedantic(_run_grid, rounds=1, iterations=1)
+def test_lan_loss_and_refresh():
+    grid = _run_grid()
 
     # Lossless: both configurations track well.
     assert grid[(0.0, 0)][0] > 0.80
@@ -111,13 +111,9 @@ def test_lan_loss_and_refresh(benchmark):
     assert grid[(0.3, 4)][0] >= grid[(0.3, 0)][0] - 0.02
 
 
-def test_e2e_with_loss_smoke(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_e2e(
-            E2EConfig(user_count=5, duration_seconds=400.0, lan_loss_probability=0.1)
-        ),
-        rounds=1,
-        iterations=1,
+def test_e2e_with_loss_smoke():
+    result = run_e2e(
+        E2EConfig(user_count=5, duration_seconds=400.0, lan_loss_probability=0.1)
     )
     assert result.lan_dropped > 0
     assert result.report.mean_accuracy > 0.5

@@ -15,10 +15,8 @@ from repro.experiments.sweep import (
 )
 
 
-def test_ablation_phase_mode(benchmark):
-    sweep = benchmark.pedantic(
-        lambda: sweep_table1_phase_mode(trials=300), rounds=1, iterations=1
-    )
+def test_ablation_phase_mode():
+    sweep = sweep_table1_phase_mode(trials=300)
     save_result("ablation_table1_phase_mode", sweep.render())
     fixed = sweep.row("fixed")
     sequence = sweep.row("sequence")
@@ -30,10 +28,8 @@ def test_ablation_phase_mode(benchmark):
     assert sequence.values[0] >= fixed.values[0] - 0.15
 
 
-def test_ablation_backoff_reentry(benchmark):
-    sweep = benchmark.pedantic(
-        lambda: sweep_table1_backoff_reentry(trials=300), rounds=1, iterations=1
-    )
+def test_ablation_backoff_reentry():
+    sweep = sweep_table1_backoff_reentry(trials=300)
     save_result("ablation_table1_backoff_reentry", sweep.render())
     immediate = sweep.row("immediate")
     next_window = sweep.row("next_window")
@@ -43,10 +39,8 @@ def test_ablation_backoff_reentry(benchmark):
     assert next_window.values[1] > immediate.values[1] + 0.5
 
 
-def test_ablation_scan_interleaving(benchmark):
-    sweep = benchmark.pedantic(
-        lambda: sweep_table1_scan_interleaving(trials=300), rounds=1, iterations=1
-    )
+def test_ablation_scan_interleaving():
+    sweep = sweep_table1_scan_interleaving(trials=300)
     save_result("ablation_table1_scan_interleaving", sweep.render())
     interleaved = sweep.row("inquiry+page scan (paper)")
     pure = sweep.row("inquiry scan only")

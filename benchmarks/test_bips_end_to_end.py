@@ -23,8 +23,8 @@ def _run_full():
     return result
 
 
-def test_end_to_end_tracking(benchmark):
-    result = benchmark.pedantic(_run_full, rounds=1, iterations=1)
+def test_end_to_end_tracking():
+    result = _run_full()
     report = result.report
 
     # The system tracks everyone who walked.

@@ -23,8 +23,8 @@ def _run_full():
     return result
 
 
-def test_page_latency(benchmark):
-    result = benchmark.pedantic(_run_full, rounds=1, iterations=1)
+def test_page_latency():
+    result = _run_full()
 
     fresh = result.case_for(0.0)
     half_flip = result.case_for(8.5)

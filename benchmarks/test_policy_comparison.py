@@ -26,8 +26,8 @@ def _run_full():
     return result
 
 
-def test_policy_comparison(benchmark):
-    result = benchmark.pedantic(_run_full, rounds=1, iterations=1)
+def test_policy_comparison():
+    result = _run_full()
     paper = result.outcome_for("paper 3.84/15.4")
     split = result.outcome_for("split 1.92/7.7")
     double = result.outcome_for("double 7.68/30.8")

@@ -18,8 +18,8 @@ def _run_full():
     return result
 
 
-def test_scaling_with_building_size(benchmark):
-    result = benchmark.pedantic(_run_full, rounds=1, iterations=1)
+def test_scaling_with_building_size():
+    result = _run_full()
     smallest = result.point_for(4)
     largest = result.point_for(32)
 

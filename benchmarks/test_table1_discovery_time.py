@@ -28,8 +28,8 @@ def _run_full():
     return result
 
 
-def test_table1_reproduction(benchmark):
-    result = benchmark.pedantic(_run_full, rounds=1, iterations=1)
+def test_table1_reproduction():
+    result = _run_full()
 
     same = result.same_summary
     different = result.different_summary

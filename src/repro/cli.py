@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.experiments.duty_cycle import Section5Config, run_section5
 from repro.experiments.e2e import E2EConfig, run_e2e
@@ -96,7 +96,8 @@ def _runner_from_args(
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``bips`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="bips",
         description=(
@@ -183,10 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_runner_args(sweeps)
     _add_metrics_out(sweeps)
 
-    from repro.bench.cli import add_bench_parser
-
-    add_bench_parser(subparsers)
-
     from repro.obs.trace_cli import add_trace_parser
 
     add_trace_parser(subparsers)
@@ -252,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --deep, rewrite the baseline file from the current "
         "findings instead of failing on them",
     )
-    return parser
+    return parser, subparsers.choices
 
 
 def _resolve_layout(spec: str):
@@ -269,7 +266,7 @@ def _resolve_layout(spec: str):
         return linear_wing(int(spec.split(":", 1)[1]))
     if spec.startswith("multifloor:"):
         return multi_floor_department(int(spec.split(":", 1)[1]))
-    raise SystemExit(f"unknown layout {spec!r} (academic | wing:N | multifloor:N)")
+    raise ValueError(f"unknown layout {spec!r} (academic | wing:N | multifloor:N)")
 
 
 def _flush_metrics(registry: MetricsRegistry, path: Optional[str]) -> None:
@@ -380,99 +377,88 @@ def _apply_lint_baseline(args: argparse.Namespace, report) -> Optional[int]:
     return result.exit_code
 
 
+def _prepare(args: argparse.Namespace, registry: MetricsRegistry) -> Callable[[], None]:
+    """Build the command's config and runner; return the run itself.
+
+    The configs and the runner check their bounds when they are built,
+    so a ``ValueError`` raised here is a usage error.  The returned run
+    is called outside that check.
+    """
+    if args.command == "table1":
+        table1 = Table1Config(
+            trials=args.trials,
+            seed=args.seed,
+            faults=args.faults,
+            fault_seed=args.fault_seed,
+        )
+        runner = _runner_from_args(args, registry)
+        return lambda: print(run_table1(table1, metrics=registry, runner=runner).render())
+    if args.command == "figure2":
+        figure2 = Figure2Config(replications=args.replications, seed=args.seed)
+        runner = _runner_from_args(args, registry)
+        return lambda: print(run_figure2(figure2, runner=runner).render())
+    if args.command == "section5":
+        section5 = Section5Config(replications=args.replications, seed=args.seed)
+        runner = _runner_from_args(args, registry)
+        return lambda: print(run_section5(section5, runner=runner).render())
+    if args.command in ("e2e", "metrics"):
+        e2e = E2EConfig(
+            user_count=args.users,
+            duration_seconds=args.duration,
+            seed=args.seed,
+            faults=args.faults,
+            fault_seed=args.fault_seed,
+        )
+        if args.command == "e2e":
+            return lambda: print(run_e2e(e2e, metrics=registry).render())
+
+        def scoreboard() -> None:
+            run_e2e(e2e, metrics=registry)
+            print(registry.render_scoreboard("BIPS pipeline metrics"))
+
+        return scoreboard
+    if args.command == "pages":
+        pages = PageLatencyConfig(samples_per_case=args.samples, seed=args.seed)
+        return lambda: print(run_page_latency(pages).render())
+    if args.command == "policies":
+        return lambda: print(run_policy_comparison().render())
+    if args.command == "serving":
+        from repro.experiments.serving import run_serving
+
+        return lambda: print(run_serving().render())
+    if args.command == "plan":
+        layout = _resolve_layout(args.layout)
+        return lambda: print(
+            plan_deployment(layout, inquiry_window_seconds=args.window).render()
+        )
+    # sweeps
+    runner = _runner_from_args(args, registry)
+
+    def sweeps() -> None:
+        for sweep in run_all_sweeps(fast=args.fast, runner=runner):
+            print(sweep.render())
+            print()
+
+    return sweeps
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "lint":
         return _run_lint(args)
-    if args.command == "bench":
-        from repro.bench.cli import run_bench
-
-        return run_bench(args)
     if args.command == "trace":
         from repro.obs.trace_cli import run_trace
 
-        return run_trace(args)
-    if args.command == "table1":
-        registry = MetricsRegistry()
-        result = run_table1(
-            Table1Config(
-                trials=args.trials,
-                seed=args.seed,
-                faults=args.faults,
-                fault_seed=args.fault_seed,
-            ),
-            metrics=registry,
-            runner=_runner_from_args(args, registry),
-        )
-        print(result.render())
-        _flush_metrics(registry, args.metrics_out)
-    elif args.command == "figure2":
-        registry = MetricsRegistry()
-        result = run_figure2(
-            Figure2Config(replications=args.replications, seed=args.seed),
-            runner=_runner_from_args(args, registry),
-        )
-        print(result.render())
-        _flush_metrics(registry, args.metrics_out)
-    elif args.command == "section5":
-        registry = MetricsRegistry()
-        result = run_section5(
-            Section5Config(replications=args.replications, seed=args.seed),
-            runner=_runner_from_args(args, registry),
-        )
-        print(result.render())
-        _flush_metrics(registry, args.metrics_out)
-    elif args.command == "e2e":
-        registry = MetricsRegistry()
-        result = run_e2e(
-            E2EConfig(
-                user_count=args.users,
-                duration_seconds=args.duration,
-                seed=args.seed,
-                faults=args.faults,
-                fault_seed=args.fault_seed,
-            ),
-            metrics=registry,
-        )
-        print(result.render())
-        _flush_metrics(registry, args.metrics_out)
-    elif args.command == "metrics":
-        registry = MetricsRegistry()
-        run_e2e(
-            E2EConfig(
-                user_count=args.users,
-                duration_seconds=args.duration,
-                seed=args.seed,
-                faults=args.faults,
-                fault_seed=args.fault_seed,
-            ),
-            metrics=registry,
-        )
-        print(registry.render_scoreboard("BIPS pipeline metrics"))
-        _flush_metrics(registry, args.metrics_out)
-    elif args.command == "pages":
-        result = run_page_latency(
-            PageLatencyConfig(samples_per_case=args.samples, seed=args.seed)
-        )
-        print(result.render())
-    elif args.command == "policies":
-        print(run_policy_comparison().render())
-    elif args.command == "serving":
-        from repro.experiments.serving import run_serving
-
-        print(run_serving().render())
-    elif args.command == "plan":
-        print(plan_deployment(_resolve_layout(args.layout),
-                              inquiry_window_seconds=args.window).render())
-    elif args.command == "sweeps":
-        registry = MetricsRegistry()
-        for sweep in run_all_sweeps(
-            fast=args.fast, runner=_runner_from_args(args, registry)
-        ):
-            print(sweep.render())
-            print()
-        _flush_metrics(registry, args.metrics_out)
+        return run_trace(args, commands["trace"])
+    registry = MetricsRegistry()
+    try:
+        run = _prepare(args, registry)
+    except ValueError as error:
+        commands[args.command].error(str(error))
+    run()
+    _flush_metrics(registry, getattr(args, "metrics_out", None))
     return 0
 
 

@@ -46,7 +46,6 @@ from .workstation import Workstation, WorkstationSnapshot
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
     from repro.obs.flight import FlightRecorder
-    from repro.obs.profiling import Profiler
     from repro.obs.tracing import SpanTracer
 
 logger = logging.getLogger(__name__)
@@ -173,7 +172,6 @@ class BIPSSimulation:
         events: Optional[EventBus] = None,
         faults: Optional["FaultPlan"] = None,
         spans: Optional["SpanTracer"] = None,
-        profiler: Optional["Profiler"] = None,
         flight: Optional["FlightRecorder"] = None,
     ) -> None:
         self.plan = plan if plan is not None else academic_department()
@@ -184,12 +182,11 @@ class BIPSSimulation:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventBus()
         self.spans = spans
-        self.profiler = profiler
         self.flight = flight
         if flight is not None:
             # Every fault-window event dumps the ring automatically.
             flight.arm(self.events, WorkstationFailed, ServerBrownout)
-        self.kernel = Kernel(metrics=self.metrics, spans=spans, profiler=profiler)
+        self.kernel = Kernel(metrics=self.metrics, spans=spans)
         self.rng = RandomStream(self.config.seed, "bips")
         # Fault plans draw from their own seed-derived streams, so a
         # chaos run perturbs delivery, never the simulation's draws.

@@ -45,8 +45,7 @@ LAYER_DEPS: dict[str, frozenset[str]] = {
     "api": frozenset({"core"}),
     "runner": frozenset({"api", "obs"}),
     "experiments": frozenset({"core", "runner", "faults"}),
-    "bench": frozenset({"experiments"}),
-    "cli": frozenset({"bench", "lint", "experiments"}),
+    "cli": frozenset({"lint", "experiments"}),
 }
 
 #: Package (dotted prefix) -> layer.  Anything under ``repro.X`` maps
@@ -65,7 +64,6 @@ PACKAGE_LAYERS: dict[str, str] = {
     "repro.core": "core",
     "repro.runner": "runner",
     "repro.experiments": "experiments",
-    "repro.bench": "bench",
     "repro.cli": "cli",
     "repro.__main__": "cli",
 }

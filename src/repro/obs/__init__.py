@@ -38,7 +38,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     snapshot_from_jsonl,
 )
-from repro.obs.profiling import Profiler
 from repro.obs.tracing import (
     Span,
     SpanTracer,
@@ -62,7 +61,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "NullEventBus",
-    "Profiler",
     "QueryServed",
     "ServerBrownout",
     "Span",

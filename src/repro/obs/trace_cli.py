@@ -4,7 +4,7 @@ Runs an experiment with span tracing threaded through the whole stack
 and exports the collected spans — Chrome trace-event JSON (load the
 file in Perfetto / ``chrome://tracing``) or one-record-per-line JSONL.
 Kept beside the tracer so the main CLI only grows two hooks
-(:func:`add_trace_parser`, :func:`run_trace`), mirroring ``bips bench``.
+(:func:`add_trace_parser`, :func:`run_trace`).
 
 Examples::
 
@@ -18,10 +18,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.profiling import Profiler
 from repro.obs.tracing import (
     CATEGORY_TIDS,
     SpanTracer,
@@ -80,12 +79,6 @@ def add_trace_parser(
         help="keep a ring buffer of recent spans/events and dump it when a "
         "fault window fires",
     )
-    trace.add_argument(
-        "--profile",
-        action="store_true",
-        help="also print per-subsystem wall-time profile (non-deterministic; "
-        "never part of the exported trace)",
-    )
     trace.add_argument("--seed", type=int, default=None, help="experiment seed")
     trace.add_argument(
         "--faults",
@@ -112,7 +105,11 @@ def add_trace_parser(
     )
 
 
-def _trace_e2e(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optional[FlightRecorder]]:
+#: What a trace run returns: the span records and the flight recorder.
+TraceResult = tuple[list[dict[str, Any]], Optional[FlightRecorder]]
+
+
+def _trace_e2e(args: argparse.Namespace) -> Callable[[], TraceResult]:
     from repro.experiments.e2e import E2EConfig, run_e2e
 
     flight = (
@@ -126,14 +123,15 @@ def _trace_e2e(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optional
         fault_seed=args.fault_seed,
     )
     spans = SpanTracer(seed=config.seed, sample=args.sample, recorder=flight)
-    profiler = Profiler() if args.profile else None
-    run_e2e(config, spans=spans, profiler=profiler, flight=flight)
-    if profiler is not None:
-        print(profiler.render_report(), file=sys.stderr)
-    return spans.records(), flight
+
+    def run() -> TraceResult:
+        run_e2e(config, spans=spans, flight=flight)
+        return spans.records(), flight
+
+    return run
 
 
-def _trace_table1(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optional[FlightRecorder]]:
+def _trace_table1(args: argparse.Namespace) -> Callable[[], TraceResult]:
     from repro.experiments.table1 import EXPERIMENT, Table1Config, trial_payload
     from repro.runner import build_runner
 
@@ -146,19 +144,28 @@ def _trace_table1(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optio
         trace_sample=args.sample,
     )
     runner = build_runner(jobs=args.jobs, use_cache=False)
-    payloads = runner.map_trials(EXPERIMENT, config, trial_payload, config.trials)
-    return merge_worker_spans([payload["spans"] for payload in payloads]), None
+
+    def run() -> TraceResult:
+        payloads = runner.map_trials(EXPERIMENT, config, trial_payload, config.trials)
+        return merge_worker_spans([payload["spans"] for payload in payloads]), None
+
+    return run
 
 
-def run_trace(args: argparse.Namespace) -> int:
-    """The ``bips trace`` subcommand; returns the process exit code."""
+def run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """The ``bips trace`` subcommand; returns the process exit code.
+
+    A config or runner that rejects its arguments is reported through
+    ``parser.error`` (exit code 2), before anything runs.
+    """
     if not 0.0 <= args.sample <= 1.0:
         print(f"bips trace: --sample out of range: {args.sample}", file=sys.stderr)
         return 2
-    if args.experiment == "e2e":
-        records, flight = _trace_e2e(args)
-    else:
-        records, flight = _trace_table1(args)
+    try:
+        run = _trace_e2e(args) if args.experiment == "e2e" else _trace_table1(args)
+    except ValueError as error:
+        parser.error(str(error))
+    records, flight = run()
 
     suffix = "json" if args.format == "chrome" else "jsonl"
     out = args.out or os.path.join(

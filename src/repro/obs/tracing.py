@@ -11,9 +11,9 @@ Design rules (the same contract the metrics plane obeys):
 * **Deterministic.** Span identity, ordering, and the exported bytes
   are pure functions of the simulation seed.  The tracer never touches
   the simulation's random streams — sampling draws from its own
-  seed-derived ``random.Random`` — and wall-clock capture is opt-in
-  (``wall=True``) precisely because it would break byte-identical
-  exports.  Enabling tracing changes **no** simulated result
+  seed-derived ``random.Random`` — and never reads the host clock, so
+  a span record carries simulated time only.  Enabling tracing changes
+  **no** simulated result
   (``tests/obs/test_tracing_determinism.py``).
 * **Free when off.** Components hold ``spans=None`` by default and
   guard every call site, so untraced runs pay nothing; the kernel has
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from types import MappingProxyType
 from typing import Any, Iterator, Optional, Union
 
@@ -93,8 +92,6 @@ class Span:
         "start_tick",
         "end_tick",
         "attrs",
-        "wall_start_ns",
-        "wall_end_ns",
     )
 
     def __init__(
@@ -115,8 +112,6 @@ class Span:
         self.start_tick = start_tick
         self.end_tick: Optional[int] = None
         self.attrs = attrs
-        self.wall_start_ns: Optional[int] = None
-        self.wall_end_ns: Optional[int] = None
 
     @property
     def duration_ticks(self) -> int:
@@ -138,8 +133,6 @@ class Span:
         }
         if self.attrs:
             record["attrs"] = dict(self.attrs)
-        if self.wall_start_ns is not None and self.wall_end_ns is not None:
-            record["wall_us"] = (self.wall_end_ns - self.wall_start_ns) / 1000.0
         return record
 
     def __repr__(self) -> str:
@@ -183,14 +176,12 @@ class SpanTracer:
         self,
         seed: int = 0,
         sample: float = 1.0,
-        wall: bool = False,
         recorder: Optional[Any] = None,
         max_spans: int = 2_000_000,
     ) -> None:
         if not 0.0 <= sample <= 1.0:
             raise ValueError(f"sample rate out of range: {sample}")
         self.sample = sample
-        self.wall = wall
         self.spans: list[Span] = []
         self.dropped = 0
         self._recorder = recorder
@@ -235,8 +226,6 @@ class SpanTracer:
             return None
         span = Span(name, category, trace_id, self._next_span_id, parent_id, tick, attrs)
         self._next_span_id += 1
-        if self.wall:
-            span.wall_start_ns = time.perf_counter_ns()
         self.spans.append(span)
         return span
 
@@ -245,8 +234,6 @@ class SpanTracer:
         if span is None:
             return
         span.end_tick = tick
-        if self.wall and span.wall_start_ns is not None:
-            span.wall_end_ns = time.perf_counter_ns()
         if self._recorder is not None:
             self._recorder.note(span.to_record())
 
@@ -363,8 +350,6 @@ def chrome_trace(
             "parent": record["parent"],
         }
         args.update(record.get("attrs", {}))
-        if "wall_us" in record:
-            args["wall_us"] = record["wall_us"]
         event: dict[str, Any] = {
             "name": record["name"],
             "cat": category,

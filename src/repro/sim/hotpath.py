@@ -10,8 +10,8 @@ f-strings, closures, ``**kwargs`` expansion).
 
 The decorator itself is a pure identity function — it returns the
 function object unchanged, adds no wrapper frame, and therefore costs
-exactly zero at call time (``bips bench`` guards this).  The marker is
-consumed statically: the linter reads the decoration from the AST and
+exactly zero at call time (``tests/lint/test_rule_perf001.py`` checks
+the identity).  The marker is consumed statically: the linter reads the decoration from the AST and
 never imports this module.
 """
 

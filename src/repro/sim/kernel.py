@@ -41,7 +41,6 @@ from .hotpath import hot_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
     from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-    from repro.obs.profiling import Profiler
     from repro.obs.tracing import SpanTracer
 
 logger = logging.getLogger(__name__)
@@ -129,13 +128,11 @@ class Kernel:
         self,
         metrics: Optional["MetricsRegistry"] = None,
         spans: Optional["SpanTracer"] = None,
-        profiler: Optional["Profiler"] = None,
     ) -> None:
         self.clock = SimClock()
         # With a SpanTracer attached, every labelled event is wrapped in
         # a kernel span when it is scheduled (see _spanned).
         self._spans = spans
-        self._profiler = profiler
         self._seq = 0
         self._events_fired = 0
         self._pending = 0
@@ -374,15 +371,11 @@ class Kernel:
                 f"run_until target {tick} is before now {self.clock.now}"
             )
         self._running = True
-        profiler = self._profiler
-        token = profiler.begin() if profiler is not None else 0.0
         try:
             self._drain_heap(tick)
         finally:
             self._running = False
             self._flush_metrics()
-            if profiler is not None:
-                profiler.stop("sim.kernel", token)
         if require_events and self._pending == 0 and self.clock.now < tick:
             raise DeadlockError(
                 f"event heap drained at {self.clock.now} before reaching {tick}"

@@ -81,4 +81,4 @@ class TestSanctionedForms:
             "def recover(lan):\n"
             "    lan.send('a', 'b', 'm')\n"
         )
-        assert "FLT001" not in rules_hit(source, module="repro.bench.bad")
+        assert "FLT001" not in rules_hit(source, module="repro.experiments.bad")

@@ -284,13 +284,10 @@ class TestWriters:
 
 class TestWallClock:
     def test_wall_annotation_is_opt_in(self):
+        """Span records carry no host time: only ids and simulated ticks."""
         tracer = SpanTracer()
         span = tracer.begin("bt.window", "bluetooth", 0, parent=None)
         tracer.end(span, 1)
-        assert "wall_us" not in span.to_record()
-
-    def test_wall_annotation_when_enabled(self):
-        tracer = SpanTracer(wall=True)
-        span = tracer.begin("bt.window", "bluetooth", 0, parent=None)
-        tracer.end(span, 1)
-        assert span.to_record()["wall_us"] >= 0.0
+        assert set(span.to_record()) == {
+            "name", "cat", "trace", "span", "parent", "start", "end",
+        }
